@@ -259,8 +259,7 @@ fn memory(system: &LegoBase) {
 
 /// One row of the memory figure: loads the query raw (encoding ablated) and
 /// encoded *once each*, warms both up, then samples the **post-warm-up**
-/// resident footprint (whole-column decode caches a scratch-strategy scan
-/// materializes are real heap and must show) and times the two loads with
+/// resident footprint and times the two loads with
 /// interleaved minima — the same discipline as the perf gate, so a busy
 /// window on a shared box hits both populations instead of skewing one.
 /// Returns `(raw MB, packed MB, raw ms, packed ms)`.

@@ -411,11 +411,10 @@ impl LoadedQuery {
         }
     }
 
-    /// Current resident heap footprint of the loaded database. The
-    /// load-time snapshot in [`LoadedQuery::load_report`] predates
-    /// execution; this recount includes whole-column decode caches that
-    /// runs have materialized since (the space half of the scratch-unpack
-    /// trade), so the memory figure samples it after a warm-up execution.
+    /// Current resident heap footprint of the loaded database, recounted
+    /// now rather than the load-time snapshot in
+    /// [`LoadedQuery::load_report`]; the memory figure samples it after a
+    /// warm-up execution.
     pub fn memory_bytes(&self) -> usize {
         match &self.db {
             Db::Generic(db) => db.approx_bytes(),

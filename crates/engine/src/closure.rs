@@ -6,7 +6,7 @@
 //! node kinds (it still dispatches on runtime value types — removing that too
 //! is what the specialized executor in [`crate::specialized`] does).
 
-use crate::expr::{ArithOp, CmpOp, Expr};
+use crate::expr::{CmpOp, Expr};
 use crate::interp::word_seq;
 use legobase_storage::Value;
 use std::cmp::Ordering;
@@ -51,29 +51,7 @@ pub fn compile(expr: &Expr) -> Compiled {
         Expr::Arith(op, a, b) => {
             let (fa, fb) = (compile(a), compile(b));
             let op = *op;
-            Box::new(move |row| {
-                let (va, vb) = (fa(row), fb(row));
-                if va.is_null() || vb.is_null() {
-                    return Value::Null;
-                }
-                match (&va, &vb) {
-                    (Value::Int(x), Value::Int(y)) => match op {
-                        ArithOp::Add => Value::Int(x + y),
-                        ArithOp::Sub => Value::Int(x - y),
-                        ArithOp::Mul => Value::Int(x * y),
-                        ArithOp::Div => Value::Int(x / y),
-                    },
-                    _ => {
-                        let (x, y) = (va.as_float(), vb.as_float());
-                        Value::Float(match op {
-                            ArithOp::Add => x + y,
-                            ArithOp::Sub => x - y,
-                            ArithOp::Mul => x * y,
-                            ArithOp::Div => x / y,
-                        })
-                    }
-                }
-            })
+            Box::new(move |row| crate::interp::arith(op, &fa(row), &fb(row)))
         }
         Expr::And(a, b) => {
             let (fa, fb) = (compile_pred(a), compile_pred(b));

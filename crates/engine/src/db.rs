@@ -265,11 +265,9 @@ impl SpecializedDb {
         self.unpack_strategies.get(&(table.to_string(), column)).copied()
     }
 
-    /// Current resident heap footprint. Unlike the load-time
-    /// `report.approx_bytes` snapshot, this counts decode caches that
-    /// executions have materialized since (`PackedInts::decoded` memoizes
-    /// whole-column unpacks for scratch-strategy columns) — sample it after
-    /// a warm-up run for the honest steady-state number.
+    /// Current resident heap footprint, recounted now rather than the
+    /// load-time `report.approx_bytes` snapshot; sample it after a warm-up
+    /// run for the steady-state number.
     pub fn approx_bytes(&self) -> usize {
         self.tables.values().map(ColumnTable::approx_bytes).sum::<usize>()
             + self.fk_partitions.values().map(ForeignKeyPartition::approx_bytes).sum::<usize>()

@@ -266,23 +266,19 @@ impl Expr {
         }
     }
 
-    /// Collects all referenced column positions into `out`.
-    pub fn collect_cols(&self, out: &mut Vec<usize>) {
+    /// Calls `f` on this node and then on every descendant, left to right.
+    pub fn visit<'e>(&'e self, f: &mut impl FnMut(&'e Expr)) {
+        f(self);
         match self {
-            Expr::Col(i) => {
-                if !out.contains(i) {
-                    out.push(*i);
-                }
-            }
-            Expr::Lit(_) => {}
+            Expr::Col(_) | Expr::Lit(_) => {}
             Expr::Cmp(_, a, b) | Expr::Arith(_, a, b) | Expr::And(a, b) | Expr::Or(a, b) => {
-                a.collect_cols(out);
-                b.collect_cols(out);
+                a.visit(f);
+                b.visit(f);
             }
             Expr::Case(c, a, b) => {
-                c.collect_cols(out);
-                a.collect_cols(out);
-                b.collect_cols(out);
+                c.visit(f);
+                a.visit(f);
+                b.visit(f);
             }
             Expr::Not(a)
             | Expr::StartsWith(a, _)
@@ -292,8 +288,19 @@ impl Expr {
             | Expr::Substr(a, _, _)
             | Expr::InList(a, _)
             | Expr::IsNull(a)
-            | Expr::Year(a) => a.collect_cols(out),
+            | Expr::Year(a) => a.visit(f),
         }
+    }
+
+    /// Collects all referenced column positions into `out`.
+    pub fn collect_cols(&self, out: &mut Vec<usize>) {
+        self.visit(&mut |e| {
+            if let Expr::Col(i) = e {
+                if !out.contains(i) {
+                    out.push(*i);
+                }
+            }
+        });
     }
 
     /// Rebuilds this node with `f` applied to every direct child

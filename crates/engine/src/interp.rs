@@ -7,7 +7,15 @@
 //!
 //! NULL handling follows the simplified semantics the TPC-H workload needs:
 //! any comparison or arithmetic with a NULL operand yields `false`/NULL, and
-//! `IS NULL` observes it. (NULLs only arise from left-outer joins here.)
+//! `IS NULL` observes it. NULLs arise from left-outer joins, empty
+//! aggregates, and integer division by zero.
+//!
+//! Integer arithmetic is SQL's, in every engine: `Int ∘ Int` evaluates in
+//! `i64` (wrapping on overflow), `/` truncates toward zero, and a zero
+//! divisor (or `i64::MIN / -1`) yields NULL rather than a panic or an `f64`
+//! quotient. Any float operand promotes the operation to `f64`. The compiled
+//! kernels (`crate::kernel`) and the closure compiler (`crate::closure`)
+//! implement exactly [`arith`].
 
 use crate::expr::{ArithOp, CmpOp, Expr};
 use legobase_storage::Value;
@@ -33,29 +41,7 @@ pub fn eval(expr: &Expr, row: &[Value]) -> Value {
                 CmpOp::Ge => ord != Ordering::Less,
             })
         }
-        Expr::Arith(op, a, b) => {
-            let (va, vb) = (eval(a, row), eval(b, row));
-            if va.is_null() || vb.is_null() {
-                return Value::Null;
-            }
-            match (&va, &vb) {
-                (Value::Int(x), Value::Int(y)) => match op {
-                    ArithOp::Add => Value::Int(x + y),
-                    ArithOp::Sub => Value::Int(x - y),
-                    ArithOp::Mul => Value::Int(x * y),
-                    ArithOp::Div => Value::Int(x / y),
-                },
-                _ => {
-                    let (x, y) = (va.as_float(), vb.as_float());
-                    Value::Float(match op {
-                        ArithOp::Add => x + y,
-                        ArithOp::Sub => x - y,
-                        ArithOp::Mul => x * y,
-                        ArithOp::Div => x / y,
-                    })
-                }
-            }
-        }
+        Expr::Arith(op, a, b) => arith(*op, &eval(a, row), &eval(b, row)),
         Expr::And(a, b) => Value::Bool(eval(a, row).as_bool() && eval(b, row).as_bool()),
         Expr::Or(a, b) => Value::Bool(eval(a, row).as_bool() || eval(b, row).as_bool()),
         Expr::Not(a) => Value::Bool(!eval(a, row).as_bool()),
@@ -94,6 +80,32 @@ pub fn eval(expr: &Expr, row: &[Value]) -> Value {
                 return Value::Null;
             }
             Value::Int(v.as_date().year() as i64)
+        }
+    }
+}
+
+/// Applies an arithmetic operator: NULL in, NULL out; `Int ∘ Int` stays
+/// integral (wrapping, division truncating toward zero, a zero divisor giving
+/// NULL); any float operand promotes both sides to `f64`.
+pub fn arith(op: ArithOp, va: &Value, vb: &Value) -> Value {
+    if va.is_null() || vb.is_null() {
+        return Value::Null;
+    }
+    match (va, vb) {
+        (Value::Int(x), Value::Int(y)) => match op {
+            ArithOp::Add => Value::Int(x.wrapping_add(*y)),
+            ArithOp::Sub => Value::Int(x.wrapping_sub(*y)),
+            ArithOp::Mul => Value::Int(x.wrapping_mul(*y)),
+            ArithOp::Div => x.checked_div(*y).map_or(Value::Null, Value::Int),
+        },
+        _ => {
+            let (x, y) = (va.as_float(), vb.as_float());
+            Value::Float(match op {
+                ArithOp::Add => x + y,
+                ArithOp::Sub => x - y,
+                ArithOp::Mul => x * y,
+                ArithOp::Div => x / y,
+            })
         }
     }
 }
@@ -147,6 +159,14 @@ mod tests {
         assert_eq!(eval(&Expr::mul(Expr::col(0), Expr::col(1)), &r), Value::Float(25.0));
         assert_eq!(eval(&Expr::add(Expr::col(0), Expr::lit(5i64)), &r), Value::Int(15));
         assert_eq!(eval(&Expr::div(Expr::lit(7i64), Expr::lit(2i64)), &r), Value::Int(3));
+        assert_eq!(eval(&Expr::div(Expr::lit(-7i64), Expr::lit(2i64)), &r), Value::Int(-3));
+        // Integer division by zero is NULL, not a panic.
+        assert_eq!(eval(&Expr::div(Expr::col(0), Expr::lit(0i64)), &r), Value::Null);
+        assert_eq!(eval(&Expr::div(Expr::lit(i64::MIN), Expr::lit(-1i64)), &r), Value::Null);
+        assert_eq!(
+            eval(&Expr::div(Expr::col(1), Expr::lit(0i64)), &r),
+            Value::Float(f64::INFINITY)
+        );
     }
 
     #[test]

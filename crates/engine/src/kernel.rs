@@ -11,7 +11,7 @@
 
 use crate::expr::{ArithOp, CmpOp, Expr};
 use crate::interp;
-use legobase_storage::{Column, PackedInts, Schema, Value};
+use legobase_storage::{Column, PackedInts, Schema, Type, Value};
 use std::sync::Arc;
 
 /// A columnar intermediate result.
@@ -162,20 +162,17 @@ fn numeric(e: &Expr, chunk: &Chunk) -> Option<F64K> {
             if chunk.nulls[*i].is_some() {
                 return None; // nullable columns take the generic path
             }
-            match chunk.cols[*i].clone() {
-                Column::I64(v) => Some(Box::new(move |r| v[r] as f64)),
-                Column::F64(v) => Some(Box::new(move |r| v[r])),
-                Column::Date(v) => Some(Box::new(move |r| v[r] as f64)),
-                Column::Bool(v) => Some(Box::new(move |r| v[r] as i64 as f64)),
-                // Packed columns on a per-row path unpack on access (one
-                // shift/mask): heavy decoded consumers stay plain under the
-                // scratch strategy and the hot filters run the fused block
-                // path, so this only covers the residual cases (e.g. a
-                // selection-vector scan) — never worth pinning a
-                // whole-column decode cache for (PR 10).
-                Column::I64Packed(p) => Some(Box::new(move |r| p.get(r) as f64)),
-                Column::DatePacked(p) => Some(Box::new(move |r| p.get(r) as f64)),
-                _ => None,
+            // Packed columns on a per-row path unpack on access (one
+            // shift/mask): heavy decoded consumers stay plain and the hot
+            // filters and aggregates run block paths, so this only covers
+            // residual cases (e.g. a projection over a selection vector).
+            match &chunk.cols[*i] {
+                Column::F64(v) => {
+                    let v = Arc::clone(v);
+                    Some(Box::new(move |r| v[r]))
+                }
+                Column::Dict(..) | Column::DictPacked(..) => None,
+                col => code_map(col, |v| v as f64),
             }
         }
         Expr::Lit(Value::Int(v)) => {
@@ -191,6 +188,11 @@ fn numeric(e: &Expr, chunk: &Chunk) -> Option<F64K> {
             Some(Box::new(move |_| v))
         }
         Expr::Arith(op, a, b) => {
+            // Int ∘ Int stays integral (`7 / 2` is 3, not 3.5), as in `interp`.
+            if e.ty(&chunk.schema) == Type::Int {
+                let k = int_numeric(e, chunk)?;
+                return Some(Box::new(move |r| k(r) as f64));
+            }
             let (fa, fb) = (numeric(a, chunk)?, numeric(b, chunk)?);
             Some(match op {
                 ArithOp::Add => Box::new(move |r| fa(r) + fb(r)),
@@ -212,11 +214,57 @@ fn numeric(e: &Expr, chunk: &Chunk) -> Option<F64K> {
     }
 }
 
+/// An Int-typed expression as an exact `i64` kernel. Arithmetic wraps, like
+/// [`interp::eval`]; integer division declines (a zero divisor yields NULL,
+/// which only the generic path can express).
+fn int_numeric(e: &Expr, chunk: &Chunk) -> Option<I64K> {
+    match e {
+        Expr::Col(i) if chunk.nulls[*i].is_none() => code_map(&chunk.cols[*i], |v| v),
+        Expr::Lit(Value::Int(v)) => {
+            let v = *v;
+            Some(Box::new(move |_| v))
+        }
+        Expr::Arith(op, a, b) => {
+            let f = int_op(*op)?;
+            let (fa, fb) = (int_numeric(a, chunk)?, int_numeric(b, chunk)?);
+            Some(Box::new(move |r| f(fa(r), fb(r))))
+        }
+        _ => {
+            let f = numeric(e, chunk)?;
+            Some(Box::new(move |r| f(r) as i64))
+        }
+    }
+}
+
+/// The wrapping `i64` operator of an integer `Arith` node; `None` for
+/// division, whose zero divisor makes the result NULL.
+fn int_op(op: ArithOp) -> Option<fn(i64, i64) -> i64> {
+    match op {
+        ArithOp::Add => Some(i64::wrapping_add),
+        ArithOp::Sub => Some(i64::wrapping_sub),
+        ArithOp::Mul => Some(i64::wrapping_mul),
+        ArithOp::Div => None,
+    }
+}
+
+/// True when `e` can evaluate to NULL over this chunk: it reads a column
+/// with a validity mask, or divides integers (a zero divisor yields NULL).
+pub(crate) fn may_be_null(e: &Expr, chunk: &Chunk) -> bool {
+    let mut maybe = false;
+    e.visit(&mut |n| {
+        maybe |= match n {
+            Expr::Col(c) => chunk.nulls[*c].is_some(),
+            Expr::Arith(ArithOp::Div, ..) => n.ty(&chunk.schema) == Type::Int,
+            _ => false,
+        }
+    });
+    maybe
+}
+
 fn date_kernel(e: &Expr, chunk: &Chunk) -> Option<Box<dyn Fn(usize) -> i32 + Send + Sync>> {
     match e {
-        Expr::Col(i) => match chunk.cols[*i].clone() {
-            Column::Date(v) => Some(Box::new(move |r| v[r])),
-            Column::DatePacked(p) => Some(Box::new(move |r| p.get(r) as i32)),
+        Expr::Col(i) => match &chunk.cols[*i] {
+            col @ (Column::Date(_) | Column::DatePacked(_)) => code_map(col, |v| v as i32),
             _ => None,
         },
         Expr::Lit(Value::Date(d)) => {
@@ -251,38 +299,24 @@ fn compile_cmp(op: CmpOp, a: &Expr, b: &Expr, chunk: &Chunk) -> BoolK {
     // String column vs. literal.
     if let (Expr::Col(i), Expr::Lit(Value::Str(s))) = (a, b) {
         let s = s.clone();
-        match chunk.cols[*i].clone() {
-            Column::Dict(codes, dict) => {
+        match &chunk.cols[*i] {
+            col @ (Column::Dict(_, dict) | Column::DictPacked(_, dict)) => {
                 // Table II: equality becomes an integer comparison.
                 if matches!(op, CmpOp::Eq | CmpOp::Ne) {
-                    let target = dict.code(&s);
                     let eq = op == CmpOp::Eq;
-                    return match target {
-                        Some(t) => Box::new(move |r| (codes[r] == t) == eq),
+                    return match dict.code(&s) {
+                        Some(t) => code_pred(col, move |c| (c == t as i64) == eq),
                         None => Box::new(move |_| !eq),
                     };
                 }
                 // Ordering against a literal: one flag per distinct value,
                 // then a single indexed load per tuple.
                 let flags = dict.matching_flags(|v| str_cmp(op, v, &s));
-                return Box::new(move |r| flags[codes[r] as usize]);
+                return code_pred(col, move |c| flags[c as usize]);
             }
             Column::Str(v) => {
+                let v = Arc::clone(v);
                 return Box::new(move |r| str_cmp(op, &v[r], &s));
-            }
-            Column::DictPacked(codes, dict) => {
-                // Same dictionary lowering, with the code column staying
-                // packed: equality pre-encodes the target code into the
-                // frame of reference, ordering indexes flags by code.
-                if matches!(op, CmpOp::Eq | CmpOp::Ne) {
-                    let eq = op == CmpOp::Eq;
-                    return match dict.code(&s).and_then(|t| codes.encode(t as i64)) {
-                        Some(raw) => Box::new(move |r| (codes.get_raw(r) == raw) == eq),
-                        None => Box::new(move |_| !eq),
-                    };
-                }
-                let flags = dict.matching_flags(|v| str_cmp(op, v, &s));
-                return Box::new(move |r| flags[codes.get(r) as usize]);
             }
             _ => {}
         }
@@ -382,41 +416,24 @@ impl StrOp {
 
 fn compile_str_pred(a: &Expr, chunk: &Chunk, pattern: String, op: StrOp) -> BoolK {
     if let Expr::Col(i) = a {
-        match chunk.cols[*i].clone() {
-            Column::Dict(codes, dict) => {
+        match &chunk.cols[*i] {
+            col @ (Column::Dict(_, dict) | Column::DictPacked(_, dict)) => {
                 // Ordered dictionaries answer startsWith with a code range
                 // (Table II); everything else via per-distinct-value flags.
                 if matches!(op, StrOp::StartsWith)
                     && dict.kind() == legobase_storage::DictKind::Ordered
                 {
                     return match dict.prefix_range(&pattern) {
-                        Some((lo, hi)) => Box::new(move |r| {
-                            let c = codes[r];
-                            c >= lo && c <= hi
-                        }),
+                        Some((lo, hi)) => code_pred(col, move |c| c >= lo as i64 && c <= hi as i64),
                         None => Box::new(|_| false),
                     };
                 }
                 let flags = dict.matching_flags(|v| op.test(v, &pattern));
-                return Box::new(move |r| flags[codes[r] as usize]);
+                return code_pred(col, move |c| flags[c as usize]);
             }
             Column::Str(v) => {
+                let v = Arc::clone(v);
                 return Box::new(move |r| op.test(&v[r], &pattern));
-            }
-            Column::DictPacked(codes, dict) => {
-                if matches!(op, StrOp::StartsWith)
-                    && dict.kind() == legobase_storage::DictKind::Ordered
-                {
-                    return match dict.prefix_range(&pattern) {
-                        Some((lo, hi)) => Box::new(move |r| {
-                            let c = codes.get(r) as u32;
-                            c >= lo && c <= hi
-                        }),
-                        None => Box::new(|_| false),
-                    };
-                }
-                let flags = dict.matching_flags(|v| op.test(v, &pattern));
-                return Box::new(move |r| flags[codes.get(r) as usize]);
             }
             _ => {}
         }
@@ -430,37 +447,26 @@ fn compile_str_pred(a: &Expr, chunk: &Chunk, pattern: String, op: StrOp) -> Bool
 
 fn compile_word_seq(a: &Expr, chunk: &Chunk, w1: String, w2: String) -> BoolK {
     if let Expr::Col(i) = a {
-        match chunk.cols[*i].clone() {
-            Column::Dict(codes, dict) => {
+        match &chunk.cols[*i] {
+            col @ (Column::Dict(_, dict) | Column::DictPacked(_, dict)) => {
                 // Word-token dictionaries scan integer token lists
                 // (Section 3.4); other kinds fall back to per-distinct flags.
                 if dict.kind() == legobase_storage::DictKind::WordToken {
                     let (c1, c2) = (dict.word_code(&w1), dict.word_code(&w2));
                     return match (c1, c2) {
                         (Some(c1), Some(c2)) => {
-                            Box::new(move |r| dict.contains_word_seq(codes[r], c1, c2))
+                            let dict = Arc::clone(dict);
+                            code_pred(col, move |c| dict.contains_word_seq(c as u32, c1, c2))
                         }
                         _ => Box::new(|_| false),
                     };
                 }
                 let flags = dict.matching_flags(|v| interp::word_seq(v, &w1, &w2));
-                return Box::new(move |r| flags[codes[r] as usize]);
+                return code_pred(col, move |c| flags[c as usize]);
             }
             Column::Str(v) => {
+                let v = Arc::clone(v);
                 return Box::new(move |r| interp::word_seq(&v[r], &w1, &w2));
-            }
-            Column::DictPacked(codes, dict) => {
-                if dict.kind() == legobase_storage::DictKind::WordToken {
-                    let (c1, c2) = (dict.word_code(&w1), dict.word_code(&w2));
-                    return match (c1, c2) {
-                        (Some(c1), Some(c2)) => {
-                            Box::new(move |r| dict.contains_word_seq(codes.get(r) as u32, c1, c2))
-                        }
-                        _ => Box::new(|_| false),
-                    };
-                }
-                let flags = dict.matching_flags(|v| interp::word_seq(v, &w1, &w2));
-                return Box::new(move |r| flags[codes.get(r) as usize]);
             }
             _ => {}
         }
@@ -474,8 +480,8 @@ fn compile_word_seq(a: &Expr, chunk: &Chunk, w1: String, w2: String) -> BoolK {
 
 fn compile_in_list(a: &Expr, vals: &[Value], chunk: &Chunk) -> BoolK {
     if let Expr::Col(i) = a {
-        match chunk.cols[*i].clone() {
-            Column::Dict(codes, dict) => {
+        match &chunk.cols[*i] {
+            col @ (Column::Dict(_, dict) | Column::DictPacked(_, dict)) => {
                 let mut flags = vec![false; dict.len()];
                 for v in vals {
                     if let Value::Str(s) = v {
@@ -484,9 +490,10 @@ fn compile_in_list(a: &Expr, vals: &[Value], chunk: &Chunk) -> BoolK {
                         }
                     }
                 }
-                return Box::new(move |r| flags[codes[r] as usize]);
+                return code_pred(col, move |c| flags[c as usize]);
             }
             Column::Str(v) => {
+                let v = Arc::clone(v);
                 let set: Vec<String> = vals
                     .iter()
                     .filter_map(|x| match x {
@@ -496,7 +503,7 @@ fn compile_in_list(a: &Expr, vals: &[Value], chunk: &Chunk) -> BoolK {
                     .collect();
                 return Box::new(move |r| set.iter().any(|s| *s == v[r]));
             }
-            Column::I64(v) => {
+            col @ (Column::I64(_) | Column::I64Packed(_)) => {
                 let set: Vec<i64> = vals
                     .iter()
                     .filter_map(|x| match x {
@@ -504,30 +511,7 @@ fn compile_in_list(a: &Expr, vals: &[Value], chunk: &Chunk) -> BoolK {
                         _ => None,
                     })
                     .collect();
-                return Box::new(move |r| set.contains(&v[r]));
-            }
-            Column::I64Packed(p) => {
-                // Pre-encode the list; members outside the column domain can
-                // never match and drop out here.
-                let set: Vec<u64> = vals
-                    .iter()
-                    .filter_map(|x| match x {
-                        Value::Int(n) => p.encode(*n),
-                        _ => None,
-                    })
-                    .collect();
-                return Box::new(move |r| set.contains(&p.get_raw(r)));
-            }
-            Column::DictPacked(codes, dict) => {
-                let mut flags = vec![false; dict.len()];
-                for v in vals {
-                    if let Value::Str(s) = v {
-                        if let Some(c) = dict.code(s) {
-                            flags[c as usize] = true;
-                        }
-                    }
-                }
-                return Box::new(move |r| flags[codes.get(r) as usize]);
+                return code_pred(col, move |v| set.contains(&v));
             }
             _ => {}
         }
@@ -551,26 +535,115 @@ pub fn compile_f64(e: &Expr, chunk: &Chunk) -> F64K {
 
 /// Compiles a groupable column to an `i64` code kernel: integers verbatim,
 /// dates as day counts, dictionary strings as codes, booleans as 0/1.
-/// Returns `None` for plain strings (the caller falls back to generic keys).
+/// Returns `None` for plain strings and nullable columns (the caller falls
+/// back to generic keys).
 pub fn code_kernel(col: usize, chunk: &Chunk) -> Option<I64K> {
     if chunk.nulls[col].is_some() {
         return None;
     }
-    match chunk.cols[col].clone() {
-        Column::I64(v) => Some(Box::new(move |r| v[r])),
-        Column::Date(v) => Some(Box::new(move |r| v[r] as i64)),
-        Column::Dict(codes, _) => Some(Box::new(move |r| codes[r] as i64)),
-        Column::Bool(v) => Some(Box::new(move |r| v[r] as i64)),
-        // Packed columns group on unpacked values/codes directly — the key
-        // code an aggregation sees is identical to the plain layout's, so
-        // grouped results stay bit-identical. Group keys are classified as
-        // heavy uses, so the loader keeps those columns plain; this arm only
-        // covers hand-built plans, and a shift/mask per access beats pinning
-        // a whole-column decode cache there too.
-        Column::I64Packed(p) => Some(Box::new(move |r| p.get(r))),
-        Column::DatePacked(p) => Some(Box::new(move |r| p.get(r))),
-        Column::DictPacked(p, _) => Some(Box::new(move |r| p.get(r))),
-        _ => None,
+    code_map(&chunk.cols[col], |v| v)
+}
+
+/// A per-row kernel `f(code)` over an integer-valued column (see
+/// [`CodeCol`]), monomorphized per physical layout so the row loop pays one
+/// load (or one packed extract) and `f` — no per-row layout dispatch.
+fn code_map<T: 'static>(
+    col: &Column,
+    f: impl Fn(i64) -> T + Send + Sync + 'static,
+) -> Option<Box<dyn Fn(usize) -> T + Send + Sync>> {
+    Some(match CodeCol::of(col)? {
+        CodeCol::I64(v) => Box::new(move |r| f(v[r])),
+        CodeCol::Date(v) => Box::new(move |r| f(v[r] as i64)),
+        CodeCol::Codes(v) => Box::new(move |r| f(v[r] as i64)),
+        CodeCol::Bool(v) => Box::new(move |r| f(v[r] as i64)),
+        CodeCol::Packed(p) => Box::new(move |r| f(p.get(r))),
+    })
+}
+
+/// [`code_map`] over a column known to hold codes (a dictionary or integer
+/// column), as a predicate.
+fn code_pred(col: &Column, f: impl Fn(i64) -> bool + Send + Sync + 'static) -> BoolK {
+    code_map(col, f).expect("dictionary and integer columns carry codes")
+}
+
+/// The [`CodeCol`] reader of a non-nullable groupable column.
+pub(crate) fn code_col(col: usize, chunk: &Chunk) -> Option<CodeCol> {
+    if chunk.nulls[col].is_some() {
+        return None;
+    }
+    CodeCol::of(&chunk.cols[col])
+}
+
+/// An integer-valued column read as `i64` codes: integers verbatim, dates as
+/// day counts, dictionary strings as codes, booleans as 0/1. Packed columns
+/// read the unpacked values/codes, identical to the plain layout's, so
+/// grouped results stay bit-identical across encodings. The one reader
+/// behind join key codes, group-key packing and the block evaluator's
+/// integer gathers.
+#[derive(Clone)]
+pub(crate) enum CodeCol {
+    /// Plain integers.
+    I64(Arc<Vec<i64>>),
+    /// Plain day counts.
+    Date(Arc<Vec<i32>>),
+    /// Plain dictionary codes.
+    Codes(Arc<Vec<u32>>),
+    /// Plain booleans.
+    Bool(Arc<Vec<bool>>),
+    /// Packed integers, day counts or codes.
+    Packed(Arc<PackedInts>),
+}
+
+impl CodeCol {
+    /// The reader of `col`, or `None` for floats, plain strings and absent
+    /// columns.
+    pub(crate) fn of(col: &Column) -> Option<CodeCol> {
+        Some(match col {
+            Column::I64(v) => CodeCol::I64(Arc::clone(v)),
+            Column::Date(v) => CodeCol::Date(Arc::clone(v)),
+            Column::Dict(codes, _) => CodeCol::Codes(Arc::clone(codes)),
+            Column::Bool(v) => CodeCol::Bool(Arc::clone(v)),
+            Column::I64Packed(p) | Column::DatePacked(p) | Column::DictPacked(p, _) => {
+                CodeCol::Packed(Arc::clone(p))
+            }
+            Column::F64(_) | Column::Str(_) | Column::Absent => return None,
+        })
+    }
+
+    /// Reads the codes of one block into `out` (`out.len() == rows.len()`):
+    /// contiguous packed ranges batch-unpack, everything else is one tight
+    /// typed loop per block.
+    pub(crate) fn read(&self, rows: Rows, out: &mut [i64]) {
+        macro_rules! read {
+            ($v:expr, $conv:expr) => {
+                match rows {
+                    Rows::Range { start, n } => {
+                        for (o, &x) in out.iter_mut().zip(&$v[start..start + n]) {
+                            *o = $conv(x);
+                        }
+                    }
+                    Rows::Sel(sel) => {
+                        for (o, &r) in out.iter_mut().zip(sel) {
+                            *o = $conv($v[r as usize]);
+                        }
+                    }
+                }
+            };
+        }
+        match self {
+            CodeCol::I64(v) => read!(v, |x: i64| x),
+            CodeCol::Date(v) => read!(v, |x: i32| x as i64),
+            CodeCol::Codes(v) => read!(v, |x: u32| x as i64),
+            CodeCol::Bool(v) => read!(v, |x: bool| x as i64),
+            CodeCol::Packed(p) => match rows {
+                Rows::Range { start, .. } => p.unpack_range(start, out),
+                Rows::Sel(sel) => {
+                    for (o, &r) in out.iter_mut().zip(sel) {
+                        *o = p.get(r as usize);
+                    }
+                }
+            },
+        }
     }
 }
 
@@ -615,40 +688,13 @@ pub fn compile_value(e: &Expr, chunk: &Chunk) -> ValK {
 
 // ---- fused unpack-filter (PR 10) ----
 
-/// Per-worker reusable scratch for the fused unpack-filter path: one decode
-/// buffer per fused column plus the survivor mask. Buffers grow to the
+/// Per-worker reusable scratch for the fused unpack-filter path: the block
+/// program's operand buffers plus the survivor mask. Buffers grow to the
 /// morsel size once and are reused for every subsequent morsel, so the hot
 /// filter loop performs no allocations after warm-up.
 pub struct UnpackScratch {
-    bufs: Vec<Vec<i64>>,
+    eval: BlockScratch,
     mask: Vec<bool>,
-}
-
-/// One side of a block-evaluable integer comparison.
-enum IntSrc {
-    /// Packed column: batch-unpacked into scratch slot `slot`, one morsel at
-    /// a time — never materialized whole.
-    Unpack { p: Arc<PackedInts>, slot: usize },
-    /// Plain integer column.
-    I64(Arc<Vec<i64>>),
-    /// Plain date column (day counts widen to `i64`).
-    Date(Arc<Vec<i32>>),
-    /// Integer or date literal.
-    Const(i64),
-}
-
-impl IntSrc {
-    /// Value at physical row `start + i`; `bufs` holds this morsel's fused
-    /// decodes (indexed from 0).
-    #[inline(always)]
-    fn at(&self, bufs: &[Vec<i64>], start: usize, i: usize) -> i64 {
-        match self {
-            IntSrc::Unpack { slot, .. } => bufs[*slot][i],
-            IntSrc::I64(v) => v[start + i],
-            IntSrc::Date(v) => v[start + i] as i64,
-            IntSrc::Const(c) => *c,
-        }
-    }
 }
 
 /// A per-distinct-code test for a dictionary predicate evaluated over
@@ -662,57 +708,39 @@ enum CodeTest {
 
 /// One conjunct of a fused filter.
 enum Conjunct {
-    /// Integer comparison evaluated block-at-a-time over the morsel.
-    Block { op: CmpOp, a: IntSrc, b: IntSrc },
-    /// Dictionary predicate over packed codes: codes batch-unpack into
-    /// scratch slot `slot`, then the morsel runs through the code test.
-    Code { p: Arc<PackedInts>, slot: usize, test: CodeTest },
+    /// Integer comparison of two `i64`-lane block-program outputs, evaluated
+    /// block-at-a-time over the morsel.
+    Block { op: CmpOp, a: usize, b: usize },
+    /// Dictionary predicate over a packed code column the block program
+    /// batch-unpacks.
+    Code { codes: usize, test: CodeTest },
     /// Anything else runs as the ordinary per-row kernel.
     Row(BoolK),
 }
 
-/// A filter compiled for fused morsel-at-a-time evaluation (PR 10): packed
-/// predicate columns on the fused strategy are batch-unpacked into
-/// per-worker scratch and compared there, so hot pipelines never materialize
-/// a decoded column. Selects exactly the rows the per-row path selects.
+/// A filter compiled for fused morsel-at-a-time evaluation (PR 10): its
+/// integer operands form one block program — packed predicate columns
+/// batch-unpack into per-worker scratch and compare there, so hot pipelines
+/// never materialize a decoded column. Selects exactly the rows the per-row
+/// path selects.
 pub struct BlockPred {
+    prog: BlockProg,
     conjuncts: Vec<Conjunct>,
-    slots: usize,
 }
 
 impl BlockPred {
-    /// Fresh scratch sized for this predicate's fused columns (one per
-    /// worker in the morsel-parallel path).
+    /// Fresh scratch for this predicate (one per worker in the
+    /// morsel-parallel path).
     pub fn scratch(&self) -> UnpackScratch {
-        UnpackScratch { bufs: vec![Vec::new(); self.slots], mask: Vec::new() }
+        UnpackScratch { eval: BlockScratch::default(), mask: Vec::new() }
     }
 
     /// Evaluates physical rows `[start, start + n)` and appends the
     /// survivors to `out` in row order.
     pub fn eval(&self, scratch: &mut UnpackScratch, start: usize, n: usize, out: &mut Vec<u32>) {
-        // Batch-decode every fused operand for this morsel (each slot once —
-        // slots are assigned per operand occurrence).
-        let unpack = |p: &PackedInts, slot: usize, bufs: &mut Vec<Vec<i64>>| {
-            let buf = &mut bufs[slot];
-            if buf.len() < n {
-                buf.resize(n, 0);
-            }
-            p.unpack_range(start, &mut buf[..n]);
-        };
-        for c in &self.conjuncts {
-            match c {
-                Conjunct::Block { a, b, .. } => {
-                    for src in [a, b] {
-                        if let IntSrc::Unpack { p, slot } = src {
-                            unpack(p, *slot, &mut scratch.bufs);
-                        }
-                    }
-                }
-                Conjunct::Code { p, slot, .. } => unpack(p, *slot, &mut scratch.bufs),
-                Conjunct::Row(_) => {}
-            }
-        }
-        let UnpackScratch { bufs, mask } = scratch;
+        // Gather or batch-decode every operand for this morsel, once each.
+        self.prog.eval(Rows::Range { start, n }, &mut scratch.eval);
+        let UnpackScratch { eval, mask } = scratch;
         mask.clear();
         mask.resize(n, true);
         for c in &self.conjuncts {
@@ -720,33 +748,27 @@ impl BlockPred {
                 Conjunct::Block { op, a, b } => {
                     // Tight branch-free comparison loop over the decoded
                     // morsel: no per-row closure dispatch, autovectorizable.
-                    macro_rules! cmp_loop {
-                        ($cmp:expr) => {
-                            for (i, m) in mask.iter_mut().enumerate() {
-                                *m &= $cmp(a.at(bufs, start, i), b.at(bufs, start, i));
-                            }
-                        };
-                    }
+                    let (a, b) = (self.prog.opnd_i(*a, &eval.i), self.prog.opnd_i(*b, &eval.i));
                     match op {
-                        CmpOp::Eq => cmp_loop!(|x, y| x == y),
-                        CmpOp::Ne => cmp_loop!(|x, y| x != y),
-                        CmpOp::Lt => cmp_loop!(|x, y| x < y),
-                        CmpOp::Le => cmp_loop!(|x, y| x <= y),
-                        CmpOp::Gt => cmp_loop!(|x, y| x > y),
-                        CmpOp::Ge => cmp_loop!(|x, y| x >= y),
+                        CmpOp::Eq => zip_with(mask, a, b, |m, x, y| *m &= x == y),
+                        CmpOp::Ne => zip_with(mask, a, b, |m, x, y| *m &= x != y),
+                        CmpOp::Lt => zip_with(mask, a, b, |m, x, y| *m &= x < y),
+                        CmpOp::Le => zip_with(mask, a, b, |m, x, y| *m &= x <= y),
+                        CmpOp::Gt => zip_with(mask, a, b, |m, x, y| *m &= x > y),
+                        CmpOp::Ge => zip_with(mask, a, b, |m, x, y| *m &= x >= y),
                     }
                 }
-                Conjunct::Code { slot, test, .. } => {
-                    let buf = &bufs[*slot][..n];
+                Conjunct::Code { codes, test } => {
+                    let buf = eval.i64s(*codes);
                     match test {
                         CodeTest::Eq { code, eq } => {
-                            for (i, m) in mask.iter_mut().enumerate() {
-                                *m &= (buf[i] == *code) == *eq;
+                            for (m, &c) in mask.iter_mut().zip(buf) {
+                                *m &= (c == *code) == *eq;
                             }
                         }
                         CodeTest::Flags(flags) => {
-                            for (i, m) in mask.iter_mut().enumerate() {
-                                *m &= flags[buf[i] as usize];
+                            for (m, &c) in mask.iter_mut().zip(buf) {
+                                *m &= flags[c as usize];
                             }
                         }
                     }
@@ -778,39 +800,13 @@ fn flatten_and<'e>(e: &'e Expr, out: &mut Vec<&'e Expr>) {
     }
 }
 
-/// Compiles one comparison operand for the block path, allocating a scratch
-/// slot when the column is packed: batch-unpacking a morsel is cheaper per
-/// value than any per-row extract, whatever strategy cleared the column.
-fn int_src(e: &Expr, chunk: &Chunk, slots: &mut usize) -> Option<IntSrc> {
-    match e {
-        Expr::Col(i) => {
-            if chunk.nulls[*i].is_some() {
-                return None;
-            }
-            match chunk.cols[*i].clone() {
-                Column::I64(v) => Some(IntSrc::I64(v)),
-                Column::Date(v) => Some(IntSrc::Date(v)),
-                Column::I64Packed(p) | Column::DatePacked(p) => {
-                    let slot = *slots;
-                    *slots += 1;
-                    Some(IntSrc::Unpack { p, slot })
-                }
-                _ => None,
-            }
-        }
-        Expr::Lit(Value::Int(v)) => Some(IntSrc::Const(*v)),
-        Expr::Lit(Value::Date(d)) => Some(IntSrc::Const(d.0 as i64)),
-        _ => None,
-    }
-}
-
 /// Tries to compile one conjunct as a dictionary-code test over packed codes
 /// (`Conjunct::Code`), mirroring the per-row dictionary kernels exactly:
 /// equality pre-resolves the target code, ordering and membership pre-resolve
 /// a per-distinct truth table. Returns `None` for every shape the per-row
 /// path should keep (plain columns, unresolvable literals, non-string
 /// comparisons).
-fn code_conjunct(leaf: &Expr, chunk: &Chunk, slots: &mut usize) -> Option<Conjunct> {
+fn code_conjunct(leaf: &Expr, chunk: &Chunk, prog: &mut BlockProg) -> Option<Conjunct> {
     let (i, test) = match leaf {
         Expr::Cmp(op, a, b) => {
             let (op, i, s) = match (a.as_ref(), b.as_ref()) {
@@ -821,7 +817,7 @@ fn code_conjunct(leaf: &Expr, chunk: &Chunk, slots: &mut usize) -> Option<Conjun
             let Column::DictPacked(_, dict) = &chunk.cols[i] else { return None };
             let test = if matches!(op, CmpOp::Eq | CmpOp::Ne) {
                 // An unresolvable literal makes the conjunct constant; the
-                // per-row path handles that without a scratch slot.
+                // per-row path handles that without a scratch buffer.
                 let code = dict.code(s)? as i64;
                 CodeTest::Eq { code, eq: op == CmpOp::Eq }
             } else {
@@ -848,48 +844,376 @@ fn code_conjunct(leaf: &Expr, chunk: &Chunk, slots: &mut usize) -> Option<Conjun
     if chunk.nulls[i].is_some() {
         return None;
     }
-    let Column::DictPacked(p, _) = chunk.cols[i].clone() else { return None };
-    let slot = *slots;
-    *slots += 1;
-    Some(Conjunct::Code { p, slot, test })
+    Some(Conjunct::Code { codes: prog.codes(i, chunk)?, test })
 }
 
 /// Compiles a predicate for fused morsel-at-a-time evaluation. Returns
-/// `None` unless at least one conjunct batch-unpacks a packed column —
-/// when nothing unpacks, the ordinary per-row path is equal or better and
-/// stays in charge. Per-morsel batch unpacking beats both the per-row
+/// `None` unless at least one operand batch-unpacks a packed column — when
+/// nothing unpacks, the ordinary per-row path is equal or better and stays
+/// in charge. Per-morsel batch unpacking beats both the per-row
 /// word-compare and per-row flag lookups, so every packed operand the block
-/// path understands — int and date comparisons, dictionary equality,
-/// ordering, and membership — takes a scratch slot.
+/// path understands — integer and date comparisons, dictionary equality,
+/// ordering, and membership — joins the block program.
 pub fn compile_block_pred(e: &Expr, chunk: &Chunk) -> Option<BlockPred> {
     let mut leaves = Vec::new();
     flatten_and(e, &mut leaves);
-    let mut slots = 0usize;
+    let mut prog = BlockProg::default();
     let mut conjuncts = Vec::new();
     for leaf in leaves {
-        if let Some(c) = code_conjunct(leaf, chunk, &mut slots) {
+        if let Some(c) = code_conjunct(leaf, chunk, &mut prog) {
             conjuncts.push(c);
             continue;
         }
-        let compiled = match leaf {
-            Expr::Cmp(op, a, b) => {
-                let before = slots;
-                match (int_src(a, chunk, &mut slots), int_src(b, chunk, &mut slots)) {
-                    (Some(sa), Some(sb)) => Conjunct::Block { op: *op, a: sa, b: sb },
-                    _ => {
-                        slots = before; // roll back a half-compiled pair
-                        Conjunct::Row(compile_bool(leaf, chunk))
+        let mark = prog.nodes.len();
+        let block = match leaf {
+            Expr::Cmp(op, a, b) => match (prog.int_operand(a, chunk), prog.int_operand(b, chunk)) {
+                (Some(a), Some(b)) => Some(Conjunct::Block { op: *op, a, b }),
+                _ => None,
+            },
+            _ => None,
+        };
+        conjuncts.push(block.unwrap_or_else(|| {
+            prog.rollback(mark); // drop a half-compiled pair
+            Conjunct::Row(compile_bool(leaf, chunk))
+        }));
+    }
+    let unpacks = prog.nodes.iter().any(|n| matches!(n, Node::Int(CodeCol::Packed(_))));
+    unpacks.then_some(BlockPred { prog, conjuncts })
+}
+
+// ---- block-at-a-time aggregation inputs ----
+
+/// Rows per block of the aggregation fold: every per-node scratch buffer of
+/// a block stays cache-resident, and per-node dispatch amortizes over 1024
+/// rows.
+pub(crate) const BLOCK_ROWS: usize = 1024;
+
+/// The physical row ids of one block of logical rows.
+#[derive(Clone, Copy)]
+pub(crate) enum Rows<'a> {
+    /// `n` consecutive physical rows from `start` (no selection vector).
+    Range {
+        /// First physical row.
+        start: usize,
+        /// Row count.
+        n: usize,
+    },
+    /// Selected physical rows, in logical order.
+    Sel(&'a [u32]),
+}
+
+impl Rows<'_> {
+    /// Rows in the block.
+    pub(crate) fn len(&self) -> usize {
+        match self {
+            Rows::Range { n, .. } => *n,
+            Rows::Sel(s) => s.len(),
+        }
+    }
+
+    /// Physical row id of the block's `i`-th row.
+    #[inline(always)]
+    pub(crate) fn phys(&self, i: usize) -> usize {
+        match self {
+            Rows::Range { start, .. } => start + i,
+            Rows::Sel(s) => s[i] as usize,
+        }
+    }
+}
+
+impl Chunk {
+    /// The block of logical rows `start..start + n`.
+    pub(crate) fn rows(&self, start: usize, n: usize) -> Rows<'_> {
+        match &self.sel {
+            Some(s) => Rows::Sel(&s[start..start + n]),
+            None => Rows::Range { start, n },
+        }
+    }
+}
+
+/// One node of a [`BlockProg`], evaluated once per block into its own
+/// scratch buffer. Every node lives in one lane: `f64` or `i64`.
+enum Node {
+    /// Float column gather.
+    F64(Arc<Vec<f64>>),
+    /// Integer-valued column gather (`i64` lane).
+    Int(CodeCol),
+    /// Float literal (a scalar operand of arithmetic).
+    ConstF(f64),
+    /// Integer or date literal (a scalar operand of arithmetic).
+    ConstI(i64),
+    /// `i64 → f64` widening of an integer node (SQL numeric promotion).
+    ToF(usize),
+    /// Float arithmetic over two `f64`-lane nodes.
+    ArithF(ArithOp, usize, usize),
+    /// Wrapping integer arithmetic over two `i64`-lane nodes (never `/`).
+    ArithI(ArithOp, usize, usize),
+}
+
+/// The structural identity of a [`Node`]: equal keys are one node, so a
+/// column gathers once per block and a repeated subexpression evaluates once.
+#[derive(PartialEq)]
+enum NodeKey {
+    Col(usize),
+    ConstF(u64),
+    ConstI(i64),
+    ToF(usize),
+    Arith(ArithOp, usize, usize),
+}
+
+/// A typed block evaluator for aggregate inputs and fused-filter operands:
+/// every expression compiles into one shared DAG of column gathers, literals
+/// and arithmetic, evaluated node by node over a block of ≤ [`BLOCK_ROWS`]
+/// rows into reused scratch. Each output equals the per-row kernel of
+/// [`compile_f64`] on every row, bit for bit: the same IEEE operations on
+/// the same operands.
+#[derive(Default)]
+pub(crate) struct BlockProg {
+    nodes: Vec<Node>,
+    keys: Vec<NodeKey>,
+}
+
+/// Per-worker scratch of a [`BlockProg`]: one buffer per node, grown once and
+/// reused for every block.
+#[derive(Default)]
+pub(crate) struct BlockScratch {
+    f: Vec<Vec<f64>>,
+    i: Vec<Vec<i64>>,
+}
+
+impl BlockScratch {
+    /// The last evaluated block of an `f64`-lane output.
+    pub(crate) fn f64s(&self, id: usize) -> &[f64] {
+        &self.f[id]
+    }
+
+    /// The last evaluated block of an `i64`-lane output.
+    pub(crate) fn i64s(&self, id: usize) -> &[i64] {
+        &self.i[id]
+    }
+}
+
+/// An arithmetic operand: a node's block buffer, or a literal scalar.
+#[derive(Clone, Copy)]
+enum Opnd<'a, T> {
+    Vec(&'a [T]),
+    Scalar(T),
+}
+
+/// One typed loop over a block (autovectorizable): `f(out[i], a[i], b[i])`
+/// with literal operands as scalars.
+#[inline(always)]
+fn zip_with<T: Copy, O>(out: &mut [O], a: Opnd<T>, b: Opnd<T>, f: impl Fn(&mut O, T, T)) {
+    match (a, b) {
+        (Opnd::Vec(x), Opnd::Vec(y)) => {
+            for ((o, &x), &y) in out.iter_mut().zip(x).zip(y) {
+                f(o, x, y);
+            }
+        }
+        (Opnd::Vec(x), Opnd::Scalar(y)) => {
+            for (o, &x) in out.iter_mut().zip(x) {
+                f(o, x, y);
+            }
+        }
+        (Opnd::Scalar(x), Opnd::Vec(y)) => {
+            for (o, &y) in out.iter_mut().zip(y) {
+                f(o, x, y);
+            }
+        }
+        (Opnd::Scalar(x), Opnd::Scalar(y)) => {
+            for o in out.iter_mut() {
+                f(o, x, y);
+            }
+        }
+    }
+}
+
+fn arith_f(op: ArithOp, out: &mut [f64], a: Opnd<f64>, b: Opnd<f64>) {
+    match op {
+        ArithOp::Add => zip_with(out, a, b, |o, x, y| *o = x + y),
+        ArithOp::Sub => zip_with(out, a, b, |o, x, y| *o = x - y),
+        ArithOp::Mul => zip_with(out, a, b, |o, x, y| *o = x * y),
+        ArithOp::Div => zip_with(out, a, b, |o, x, y| *o = x / y),
+    }
+}
+
+fn arith_i(op: ArithOp, out: &mut [i64], a: Opnd<i64>, b: Opnd<i64>) {
+    match op {
+        ArithOp::Add => zip_with(out, a, b, |o, x, y| *o = x.wrapping_add(y)),
+        ArithOp::Sub => zip_with(out, a, b, |o, x, y| *o = x.wrapping_sub(y)),
+        ArithOp::Mul => zip_with(out, a, b, |o, x, y| *o = x.wrapping_mul(y)),
+        ArithOp::Div => unreachable!("integer division never block-compiles"),
+    }
+}
+
+impl BlockProg {
+    /// True when the program has nothing to evaluate.
+    pub(crate) fn is_empty(&self) -> bool {
+        self.nodes.is_empty()
+    }
+
+    /// Compiles `e` as an output in the `i64` lane (`int`) or the `f64` lane
+    /// and returns its node id for [`BlockScratch::f64s`]/[`BlockScratch::i64s`].
+    /// Returns `None`, leaving the program unchanged, when `e` is not
+    /// block-evaluable: nullable or string columns, integer division, any
+    /// node other than a column, literal or arithmetic — or a constant, since
+    /// literals stay scalar operands and never fill a buffer.
+    pub(crate) fn output(&mut self, e: &Expr, chunk: &Chunk, int: bool) -> Option<usize> {
+        let mark = self.nodes.len();
+        let id = self
+            .node(e, chunk)
+            .and_then(|id| if int { self.is_int(id).then_some(id) } else { Some(self.widen(id)) })
+            .filter(|&id| !matches!(self.nodes[id], Node::ConstF(_) | Node::ConstI(_)));
+        if id.is_none() {
+            self.rollback(mark);
+        }
+        id
+    }
+
+    /// Compiles `e` as an `i64`-lane comparison operand, literals included;
+    /// on `None` the caller rolls back.
+    fn int_operand(&mut self, e: &Expr, chunk: &Chunk) -> Option<usize> {
+        self.node(e, chunk).filter(|&id| self.is_int(id))
+    }
+
+    /// An `f64`-lane operand: a literal's scalar, else the node's buffer.
+    fn opnd_f<'s>(&self, id: usize, bufs: &'s [Vec<f64>]) -> Opnd<'s, f64> {
+        match self.nodes[id] {
+            Node::ConstF(v) => Opnd::Scalar(v),
+            _ => Opnd::Vec(&bufs[id]),
+        }
+    }
+
+    /// An `i64`-lane operand: a literal's scalar, else the node's buffer.
+    fn opnd_i<'s>(&self, id: usize, bufs: &'s [Vec<i64>]) -> Opnd<'s, i64> {
+        match self.nodes[id] {
+            Node::ConstI(v) => Opnd::Scalar(v),
+            _ => Opnd::Vec(&bufs[id]),
+        }
+    }
+
+    /// Compiles the codes of integer-valued column `c` — dictionary codes
+    /// included — as an `i64`-lane output.
+    fn codes(&mut self, c: usize, chunk: &Chunk) -> Option<usize> {
+        let col = code_col(c, chunk)?;
+        Some(self.intern(NodeKey::Col(c), Node::Int(col)))
+    }
+
+    /// Drops every node compiled since `mark` (nothing earlier refers to
+    /// them).
+    fn rollback(&mut self, mark: usize) {
+        self.nodes.truncate(mark);
+        self.keys.truncate(mark);
+    }
+
+    fn is_int(&self, id: usize) -> bool {
+        matches!(self.nodes[id], Node::Int(_) | Node::ConstI(_) | Node::ArithI(..))
+    }
+
+    fn intern(&mut self, key: NodeKey, node: Node) -> usize {
+        if let Some(id) = self.keys.iter().position(|k| *k == key) {
+            return id;
+        }
+        self.keys.push(key);
+        self.nodes.push(node);
+        self.nodes.len() - 1
+    }
+
+    /// Widens an `i64`-lane node to `f64` (literals fold at compile time).
+    fn widen(&mut self, id: usize) -> usize {
+        match self.nodes[id] {
+            Node::ConstI(v) => {
+                self.intern(NodeKey::ConstF((v as f64).to_bits()), Node::ConstF(v as f64))
+            }
+            _ if self.is_int(id) => self.intern(NodeKey::ToF(id), Node::ToF(id)),
+            _ => id,
+        }
+    }
+
+    fn node(&mut self, e: &Expr, chunk: &Chunk) -> Option<usize> {
+        let (key, node) = match e {
+            Expr::Col(c) => {
+                if chunk.nulls[*c].is_some() {
+                    return None;
+                }
+                let node = match &chunk.cols[*c] {
+                    Column::F64(v) => Node::F64(Arc::clone(v)),
+                    Column::Dict(..) | Column::DictPacked(..) => return None,
+                    col => Node::Int(CodeCol::of(col)?),
+                };
+                (NodeKey::Col(*c), node)
+            }
+            Expr::Lit(Value::Int(v)) => (NodeKey::ConstI(*v), Node::ConstI(*v)),
+            Expr::Lit(Value::Date(d)) => (NodeKey::ConstI(d.0 as i64), Node::ConstI(d.0 as i64)),
+            Expr::Lit(Value::Float(v)) => (NodeKey::ConstF(v.to_bits()), Node::ConstF(*v)),
+            Expr::Arith(op, a, b) => {
+                let (a, b) = (self.node(a, chunk)?, self.node(b, chunk)?);
+                if e.ty(&chunk.schema) == Type::Int {
+                    if *op == ArithOp::Div || !self.is_int(a) || !self.is_int(b) {
+                        return None;
                     }
+                    if let (Node::ConstI(x), Node::ConstI(y)) = (&self.nodes[a], &self.nodes[b]) {
+                        let mut v = [0i64];
+                        arith_i(*op, &mut v, Opnd::Scalar(*x), Opnd::Scalar(*y));
+                        return Some(self.intern(NodeKey::ConstI(v[0]), Node::ConstI(v[0])));
+                    }
+                    (NodeKey::Arith(*op, a, b), Node::ArithI(*op, a, b))
+                } else {
+                    let (a, b) = (self.widen(a), self.widen(b));
+                    if let (Node::ConstF(x), Node::ConstF(y)) = (&self.nodes[a], &self.nodes[b]) {
+                        let mut v = [0f64];
+                        arith_f(*op, &mut v, Opnd::Scalar(*x), Opnd::Scalar(*y));
+                        return Some(
+                            self.intern(NodeKey::ConstF(v[0].to_bits()), Node::ConstF(v[0])),
+                        );
+                    }
+                    (NodeKey::Arith(*op, a, b), Node::ArithF(*op, a, b))
                 }
             }
-            _ => Conjunct::Row(compile_bool(leaf, chunk)),
+            _ => return None,
         };
-        conjuncts.push(compiled);
+        Some(self.intern(key, node))
     }
-    if slots == 0 {
-        return None;
+
+    /// Evaluates every node over one block, in node order (operands always
+    /// precede their users).
+    pub(crate) fn eval(&self, rows: Rows, s: &mut BlockScratch) {
+        let n = rows.len();
+        s.f.resize_with(self.nodes.len(), Vec::new);
+        s.i.resize_with(self.nodes.len(), Vec::new);
+        for (id, node) in self.nodes.iter().enumerate() {
+            let (f_done, f_rest) = s.f.split_at_mut(id);
+            let (i_done, i_rest) = s.i.split_at_mut(id);
+            let (fo, io) = (&mut f_rest[0], &mut i_rest[0]);
+            match node {
+                Node::F64(v) => {
+                    fo.clear();
+                    match rows {
+                        Rows::Range { start, n } => fo.extend_from_slice(&v[start..start + n]),
+                        Rows::Sel(sel) => fo.extend(sel.iter().map(|&r| v[r as usize])),
+                    }
+                }
+                Node::Int(c) => {
+                    io.resize(n, 0);
+                    c.read(rows, io);
+                }
+                // Literals are scalar operands; they never fill a buffer.
+                Node::ConstF(_) | Node::ConstI(_) => {}
+                Node::ToF(a) => {
+                    fo.clear();
+                    fo.extend(i_done[*a].iter().map(|&x| x as f64));
+                }
+                Node::ArithF(op, a, b) => {
+                    fo.resize(n, 0.0);
+                    arith_f(*op, fo, self.opnd_f(*a, f_done), self.opnd_f(*b, f_done));
+                }
+                Node::ArithI(op, a, b) => {
+                    io.resize(n, 0);
+                    arith_i(*op, io, self.opnd_i(*a, i_done), self.opnd_i(*b, i_done));
+                }
+            }
+        }
     }
-    Some(BlockPred { conjuncts, slots })
 }
 
 #[cfg(test)]
@@ -1113,7 +1437,7 @@ mod tests {
             assert!(compile_block_pred(e, &plain).is_none(), "expr {e} on plain chunk");
         }
         // An unresolvable dictionary literal makes the conjunct constant;
-        // alone it allocates no slot, so the block compiler declines.
+        // alone it unpacks nothing, so the block compiler declines.
         let unresolvable = Expr::eq(Expr::col(2), Expr::lit("NO-SUCH-MODE"));
         assert!(compile_block_pred(&unresolvable, &ch).is_none());
     }

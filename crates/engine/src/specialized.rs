@@ -35,7 +35,9 @@
 
 use crate::expr::{AggKind, CmpOp, Expr};
 use crate::interp;
-use crate::kernel::{self, BoolK, Chunk, PairK, ValK, F64K, I64K};
+use crate::kernel::{
+    self, BlockScratch, BoolK, Chunk, CodeCol, PairK, Rows, ValK, BLOCK_ROWS, F64K, I64K,
+};
 use crate::parallel::{go_parallel, row_morsels, run_morsels};
 use crate::plan::{AggSpec, JoinKind, Plan, QueryPlan, SortOrder};
 use crate::result::ResultTable;
@@ -128,14 +130,13 @@ impl<'a> Exec<'a> {
     }
 
     /// Builds a "this input is NULL" guard for an aggregate argument, or
-    /// `None` when no referenced column carries a null mask (the common
+    /// `None` when it cannot be NULL ([`kernel::may_be_null`]: the common
     /// TPC-H base-table case, which then pays nothing per row). SQL
     /// aggregates skip NULL inputs, so SUM/AVG kernels must not fold the
-    /// 0.0 that a coerced NULL would contribute — and AVG must not count it.
+    /// 0.0 that a coerced NULL would contribute — and AVG/COUNT must not
+    /// count it.
     fn null_guard(&self, e: &Expr, chunk: &Chunk) -> Option<BoolK> {
-        let mut cols = Vec::new();
-        e.collect_cols(&mut cols);
-        if cols.iter().all(|&c| chunk.nulls[c].is_none()) {
+        if !kernel::may_be_null(e, chunk) {
             return None;
         }
         let vk = self.valk(e, chunk);
@@ -450,12 +451,10 @@ impl<'a> Exec<'a> {
     ) -> (Column, Option<Arc<Vec<bool>>>) {
         use legobase_storage::Type;
         let ty = e.ty(&chunk.schema);
-        // NULLs flow through expressions (outer joins, empty aggregates), so
-        // the typed fast paths only apply when no referenced column carries a
-        // validity mask.
-        let mut refs = Vec::new();
-        e.collect_cols(&mut refs);
-        let nullable = refs.iter().any(|&c| chunk.nulls[c].is_some());
+        // NULLs flow through expressions (outer joins, empty aggregates,
+        // integer division by zero), so the typed fast paths only apply when
+        // the expression cannot be NULL.
+        let nullable = kernel::may_be_null(e, chunk);
         match ty {
             Type::Float if !nullable => {
                 let k = self.f64k(e, chunk);
@@ -1170,7 +1169,6 @@ impl<'a> Exec<'a> {
         group_by: &[usize],
         aggs: &[AggSpec],
     ) -> (Chunk, Option<GroupIndex>) {
-        let mut group_index = None;
         let mut child_need: BTreeSet<usize> = group_by.iter().copied().collect();
         for a in aggs {
             let mut cols = Vec::new();
@@ -1180,159 +1178,47 @@ impl<'a> Exec<'a> {
         let chunk = self.run(input, &Some(child_need));
         let n = chunk.len();
 
-        // Build per-aggregate update kernels (shared, read-only) and the
-        // accumulator states they drive. Splitting kernels from states is
-        // what lets morsel workers share one compiled kernel set while each
-        // morsel owns its partial accumulators.
-        let kernels: Vec<AggK> = aggs.iter().map(|a| self.agg_kernel(a, &chunk)).collect();
-        let mut states: Vec<AggState> = kernels.iter().map(AggK::new_state).collect();
-        let mut reprs: Vec<u32> = Vec::new();
-
         // The effective degree for *this* operator: the compiled decision,
         // gated on the input being large enough to be worth splitting.
         let degree =
             if go_parallel(self.settings.parallelism, n) { self.settings.parallelism } else { 1 };
 
-        // Key strategy.
-        let key_kernels: Option<Vec<I64K>> = if self.settings.compiled_exprs {
-            group_by.iter().map(|&c| kernel::code_kernel(c, &chunk)).collect()
+        // Key strategy: coded keys pack into one dense `i64`; plain-string
+        // keys, overflowing domains and interpreted mode take generic keys.
+        let packer = if group_by.is_empty() || !self.settings.compiled_exprs {
+            None
         } else {
-            None // interpreted mode always takes the generic-key path
+            group_by
+                .iter()
+                .map(|&c| kernel::code_col(c, &chunk))
+                .collect::<Option<Vec<_>>>()
+                .and_then(|cols| KeyPacker::fit(cols, &chunk, degree))
         };
+        let block = self.settings.compiled_exprs && (group_by.is_empty() || packer.is_some());
+        let folds = self.agg_folds(aggs, &chunk, block);
 
-        if group_by.is_empty() {
+        let (reprs, states, group_index) = if group_by.is_empty() {
             // SingletonHashMapToValue: a single global slot (e.g. Q6).
-            if n == 0 {
-                for s in &mut states {
-                    s.touch();
-                }
-                reprs.push(0);
-            } else if degree > 1 {
-                reprs.push(chunk.phys(0) as u32);
-                states = par_singleton(&chunk, &kernels, degree);
+            let (reprs, states) = aggregate_singleton(&folds, &chunk, degree);
+            (reprs, states, None)
+        } else if let Some(packer) = &packer {
+            // Direct array with hoisted initialization (Section 3.5.2), the
+            // lowered chained-array map (Fig. 11), or a generic hash map.
+            let slots = if self.settings.code_motion
+                && packer.domain <= DIRECT_ARRAY_MAX
+                && packer.domain <= (8 * n.max(128)) as i64
+            {
+                SlotKind::Direct
+            } else if self.settings.hashmap_lowering {
+                SlotKind::Lowered
             } else {
-                reprs.push(chunk.phys(0) as u32);
-                for s in &mut states {
-                    s.touch();
-                }
-                for p in chunk.physical_rows() {
-                    for (k, s) in kernels.iter().zip(&mut states) {
-                        k.update(s, 0, p);
-                    }
-                }
-            }
-        } else if let Some(kks) = key_kernels {
-            // Coded keys: compute per-key ranges, pack into one u64.
-            match KeyPacker::fit(kks, &chunk, degree) {
-                Some(packer) => {
-                    let use_direct = self.settings.code_motion
-                        && packer.domain <= DIRECT_ARRAY_MAX
-                        && packer.domain <= (8 * n.max(128)) as i64;
-                    let single_key = group_by.len() == 1;
-                    if degree > 1 {
-                        let (r, s, gi) = self.par_aggregate_coded(
-                            &chunk, &kernels, &packer, use_direct, single_key, degree,
-                        );
-                        reprs = r;
-                        states = s;
-                        group_index = gi;
-                    } else if use_direct {
-                        // Direct array with hoisted initialization
-                        // (Section 3.5.2): slot ids pre-assigned, no generic
-                        // map at all.
-                        let mut slots: Vec<i32> = vec![-1; packer.domain as usize];
-                        for p in chunk.physical_rows() {
-                            let key = packer.pack(p) as usize;
-                            let g = if slots[key] >= 0 {
-                                slots[key] as usize
-                            } else {
-                                let g = reprs.len();
-                                slots[key] = g as i32;
-                                reprs.push(p as u32);
-                                for s in &mut states {
-                                    s.touch();
-                                }
-                                g
-                            };
-                            for (k, s) in kernels.iter().zip(&mut states) {
-                                k.update(s, g, p);
-                            }
-                        }
-                        if single_key {
-                            group_index =
-                                Some(GroupIndex::Direct { min: packer.kernels_mins[0], slots });
-                        }
-                    } else if self.settings.hashmap_lowering {
-                        // Lowered chained-array map (Fig. 11).
-                        let mut map: ChainedArrayMap<u32> =
-                            ChainedArrayMap::with_capacity(n.max(16));
-                        for p in chunk.physical_rows() {
-                            let key = packer.pack(p) as u64;
-                            let before = reprs.len();
-                            let g = *map.get_or_insert_with(key, || {
-                                let g = reprs.len() as u32;
-                                reprs.push(p as u32);
-                                g
-                            });
-                            if reprs.len() > before {
-                                for s in &mut states {
-                                    s.touch();
-                                }
-                            }
-                            for (k, s) in kernels.iter().zip(&mut states) {
-                                k.update(s, g as usize, p);
-                            }
-                        }
-                        if single_key {
-                            group_index = Some(GroupIndex::Lowered {
-                                min: packer.kernels_mins[0],
-                                domain: packer.domain,
-                                map,
-                            });
-                        }
-                    } else {
-                        // Generic hash map.
-                        let mut map: HashMap<u64, u32> = HashMap::new();
-                        for p in chunk.physical_rows() {
-                            metrics::hash_probe();
-                            let key = packer.pack(p) as u64;
-                            let before = reprs.len();
-                            let g = *map.entry(key).or_insert_with(|| {
-                                metrics::allocation();
-                                let g = reprs.len() as u32;
-                                reprs.push(p as u32);
-                                g
-                            });
-                            if reprs.len() > before {
-                                for s in &mut states {
-                                    s.touch();
-                                }
-                            }
-                            for (k, s) in kernels.iter().zip(&mut states) {
-                                k.update(s, g as usize, p);
-                            }
-                        }
-                        if single_key {
-                            group_index = Some(GroupIndex::Hash {
-                                min: packer.kernels_mins[0],
-                                domain: packer.domain,
-                                map,
-                            });
-                        }
-                    }
-                }
-                None if degree > 1 => {
-                    (reprs, states) = par_aggregate_generic(&chunk, group_by, &kernels, degree);
-                }
-                None => {
-                    self.aggregate_generic_keys(&chunk, group_by, &kernels, &mut states, &mut reprs)
-                }
-            }
-        } else if degree > 1 {
-            (reprs, states) = par_aggregate_generic(&chunk, group_by, &kernels, degree);
+                SlotKind::Hash
+            };
+            aggregate_coded(&folds, &chunk, packer, slots, group_by.len() == 1, degree)
         } else {
-            self.aggregate_generic_keys(&chunk, group_by, &kernels, &mut states, &mut reprs);
-        }
+            let (reprs, states) = aggregate_generic(&folds, &chunk, group_by, degree);
+            (reprs, states, None)
+        };
 
         // Emit output: group columns gathered from representative rows, then
         // aggregate columns from the stores.
@@ -1358,200 +1244,62 @@ impl<'a> Exec<'a> {
         (Chunk { schema, cols, nulls, sel: None, total: ngroups, base: None }, group_index)
     }
 
-    fn aggregate_generic_keys(
-        &self,
-        chunk: &Chunk,
-        group_by: &[usize],
-        kernels: &[AggK],
-        states: &mut [AggState],
-        reprs: &mut Vec<u32>,
-    ) {
-        let mut map: HashMap<Vec<Value>, u32> = HashMap::new();
-        for i in 0..chunk.len() {
-            let p = chunk.phys(i);
-            let key: Vec<Value> = group_by.iter().map(|&c| chunk.value_at(c, p)).collect();
-            metrics::hash_probe();
-            let len_before = map.len();
-            let g = *map.entry(key).or_insert_with(|| {
-                metrics::allocation();
-                reprs.push(p as u32);
-                len_before as u32
-            });
-            if map.len() > len_before {
-                for s in states.iter_mut() {
-                    s.touch();
-                }
-            }
-            for (k, s) in kernels.iter().zip(states.iter_mut()) {
-                k.update(s, g as usize, p);
-            }
-        }
+    /// Compiles the aggregate list for the block fold. With `block` set
+    /// (compiled expressions over coded or no keys), SUM/AVG inputs that
+    /// cannot be NULL compile into one shared [`kernel::BlockProg`] and such
+    /// COUNTs need no kernel at all. Everything else — NULL-guarded inputs,
+    /// MIN/MAX, expressions beyond columns/literals/arithmetic, generic keys,
+    /// interpreted mode — keeps its per-row [`AggK`].
+    fn agg_folds(&self, aggs: &[AggSpec], chunk: &Chunk, block: bool) -> AggFolds {
+        use legobase_storage::Type;
+        let mut prog = kernel::BlockProg::default();
+        let folds = aggs
+            .iter()
+            .map(|a| {
+                let vectorized = if block && !kernel::may_be_null(&a.expr, chunk) {
+                    let int = a.expr.ty(&chunk.schema) == Type::Int;
+                    match a.kind {
+                        AggKind::Count => Some(Fold::Count),
+                        AggKind::Sum => prog.output(&a.expr, chunk, int).map(Fold::Input),
+                        AggKind::Avg => prog.output(&a.expr, chunk, false).map(Fold::Input),
+                        AggKind::Min | AggKind::Max => None,
+                    }
+                } else {
+                    None
+                };
+                vectorized.unwrap_or_else(|| Fold::Row(self.agg_kernel(a, chunk)))
+            })
+            .collect();
+        let empty = aggs.iter().map(|a| AggState::empty(a, &chunk.schema)).collect();
+        AggFolds { prog, folds, empty }
     }
 
+    /// The per-row update kernel of one aggregate (the fallback fold).
     fn agg_kernel(&self, spec: &AggSpec, chunk: &Chunk) -> AggK {
-        use legobase_storage::Type;
         match spec.kind {
-            AggKind::Count => {
-                let null_k: Option<BoolK> = match &spec.expr {
-                    Expr::Col(c) => chunk.nulls[*c].clone().map(|mask| {
-                        let k: BoolK = Box::new(move |r| mask[r]);
-                        k
-                    }),
-                    _ => None,
-                };
-                AggK::Count { null_k }
-            }
-            AggKind::Avg => AggK::Avg {
+            AggKind::Count => AggK::Count { null_k: self.null_guard(&spec.expr, chunk) },
+            AggKind::Sum | AggKind::Avg => AggK::Input {
                 k: self.f64k(&spec.expr, chunk),
                 null_k: self.null_guard(&spec.expr, chunk),
             },
-            AggKind::Sum => {
-                let ty = spec.expr.ty(&chunk.schema);
-                if ty == Type::Int {
-                    AggK::SumI {
-                        k: self.f64k(&spec.expr, chunk),
-                        null_k: self.null_guard(&spec.expr, chunk),
-                    }
-                } else {
-                    AggK::SumF {
-                        k: self.f64k(&spec.expr, chunk),
-                        null_k: self.null_guard(&spec.expr, chunk),
-                    }
-                }
-            }
-            AggKind::Min | AggKind::Max => {
-                AggK::MinMax { is_min: spec.kind == AggKind::Min, k: self.valk(&spec.expr, chunk) }
-            }
+            AggKind::Min | AggKind::Max => AggK::Value(self.valk(&spec.expr, chunk)),
         }
-    }
-
-    /// Morsel-parallel pre-aggregation for coded (packed `i64`) keys: every
-    /// morsel builds local `(key, repr, partial state)` triples; the merge
-    /// walks morsels in index order and local groups in local
-    /// first-occurrence order, which reproduces the serial slot numbering
-    /// exactly (a group's first global occurrence is in the earliest morsel
-    /// containing it). The global key→slot structure built during the merge
-    /// mirrors the serial choice, so Fig. 9 join fusion sees the same
-    /// [`GroupIndex`] either way.
-    fn par_aggregate_coded(
-        &self,
-        chunk: &Chunk,
-        kernels: &[AggK],
-        packer: &KeyPacker,
-        use_direct: bool,
-        single_key: bool,
-        degree: usize,
-    ) -> (Vec<u32>, Vec<AggState>, Option<GroupIndex>) {
-        struct Partial {
-            keys: Vec<i64>,
-            reprs: Vec<u32>,
-            states: Vec<AggState>,
-        }
-        let ms = row_morsels(chunk.len());
-        let partials: Vec<Partial> = if use_direct {
-            // Dense domain: each worker keeps one domain-sized scratch array
-            // and resets only the entries its morsel touched.
-            run_morsels(
-                degree,
-                &ms,
-                || vec![-1i32; packer.domain as usize],
-                |slots: &mut Vec<i32>, m| {
-                    let mut part = Partial {
-                        keys: Vec::new(),
-                        reprs: Vec::new(),
-                        states: kernels.iter().map(AggK::new_state).collect(),
-                    };
-                    for i in m.range() {
-                        let p = chunk.phys(i);
-                        let key = packer.pack(p);
-                        let g = if slots[key as usize] >= 0 {
-                            slots[key as usize] as usize
-                        } else {
-                            let g = part.keys.len();
-                            slots[key as usize] = g as i32;
-                            part.keys.push(key);
-                            part.reprs.push(p as u32);
-                            for s in &mut part.states {
-                                s.touch();
-                            }
-                            g
-                        };
-                        for (k, s) in kernels.iter().zip(&mut part.states) {
-                            k.update(s, g, p);
-                        }
-                    }
-                    for &key in &part.keys {
-                        slots[key as usize] = -1;
-                    }
-                    part
-                },
-            )
-        } else {
-            run_morsels(
-                degree,
-                &ms,
-                || (),
-                |(), m| {
-                    let mut local: HashMap<i64, u32> = HashMap::new();
-                    let mut part = Partial {
-                        keys: Vec::new(),
-                        reprs: Vec::new(),
-                        states: kernels.iter().map(AggK::new_state).collect(),
-                    };
-                    for i in m.range() {
-                        let p = chunk.phys(i);
-                        metrics::hash_probe();
-                        let key = packer.pack(p);
-                        let next = part.keys.len() as u32;
-                        let g = *local.entry(key).or_insert(next);
-                        if g == next {
-                            part.keys.push(key);
-                            part.reprs.push(p as u32);
-                            for s in &mut part.states {
-                                s.touch();
-                            }
-                        }
-                        for (k, s) in kernels.iter().zip(&mut part.states) {
-                            k.update(s, g as usize, p);
-                        }
-                    }
-                    part
-                },
-            )
-        };
-
-        // Deterministic merge: morsels in index order, local slots in local
-        // first-occurrence order.
-        let mut reprs: Vec<u32> = Vec::new();
-        let mut states: Vec<AggState> = kernels.iter().map(AggK::new_state).collect();
-        let mut resolve: MergeSlots = if use_direct {
-            MergeSlots::Direct(vec![-1i32; packer.domain as usize])
-        } else if self.settings.hashmap_lowering {
-            MergeSlots::Lowered(ChainedArrayMap::with_capacity(chunk.len().max(16)))
-        } else {
-            MergeSlots::Hash(HashMap::new())
-        };
-        for part in &partials {
-            for (ls, (&key, &repr)) in part.keys.iter().zip(&part.reprs).enumerate() {
-                let (g, is_new) = resolve.get_or_insert(key, reprs.len());
-                if is_new {
-                    reprs.push(repr);
-                    for s in &mut states {
-                        s.touch();
-                    }
-                }
-                for (s, ps) in states.iter_mut().zip(&part.states) {
-                    s.merge_slot(g, ps, ls);
-                }
-            }
-        }
-        let group_index = single_key.then(|| resolve.into_group_index(packer));
-        (reprs, states, group_index)
     }
 }
 
-/// The merge-phase key→slot structure of the parallel coded aggregation; the
-/// variant mirrors what the serial path would have built so the resulting
+/// Which key → slot structure a coded aggregation resolves groups with.
+#[derive(Clone, Copy, PartialEq, Debug)]
+enum SlotKind {
+    /// Dense direct array over the packed domain (Section 3.5.2).
+    Direct,
+    /// Lowered chained-array map (Fig. 11).
+    Lowered,
+    /// Generic hash map.
+    Hash,
+}
+
+/// A coded aggregation's key → slot structure. The parallel merge builds
+/// the same variant the serial fold would have, so the resulting
 /// [`GroupIndex`] is interchangeable.
 enum MergeSlots {
     Direct(Vec<i32>),
@@ -1560,9 +1308,18 @@ enum MergeSlots {
 }
 
 impl MergeSlots {
-    /// Resolves a packed key to its global slot; `next` is the slot id a
+    fn new(kind: SlotKind, domain: i64, rows: usize) -> MergeSlots {
+        match kind {
+            SlotKind::Direct => MergeSlots::Direct(vec![-1i32; domain as usize]),
+            SlotKind::Lowered => MergeSlots::Lowered(ChainedArrayMap::with_capacity(rows.max(16))),
+            SlotKind::Hash => MergeSlots::Hash(HashMap::new()),
+        }
+    }
+
+    /// Resolves a packed key to its slot; `next` is the slot id a
     /// first-seen key receives. Returns `(slot, is_new)` — on `is_new` the
     /// caller appends the repr/state entries for the fresh slot.
+    #[inline]
     fn get_or_insert(&mut self, key: i64, next: usize) -> (usize, bool) {
         match self {
             MergeSlots::Direct(slots) => {
@@ -1578,23 +1335,340 @@ impl MergeSlots {
                 (g, g == next)
             }
             MergeSlots::Hash(map) => {
-                let g = *map.entry(key as u64).or_insert(next as u32) as usize;
+                metrics::hash_probe();
+                let g = *map.entry(key as u64).or_insert_with(|| {
+                    metrics::allocation();
+                    next as u32
+                }) as usize;
                 (g, g == next)
             }
         }
     }
 
-    fn into_group_index(self, packer: &KeyPacker) -> GroupIndex {
-        match self {
-            MergeSlots::Direct(slots) => GroupIndex::Direct { min: packer.kernels_mins[0], slots },
-            MergeSlots::Lowered(map) => {
-                GroupIndex::Lowered { min: packer.kernels_mins[0], domain: packer.domain, map }
-            }
-            MergeSlots::Hash(map) => {
-                GroupIndex::Hash { min: packer.kernels_mins[0], domain: packer.domain, map }
+    /// Forgets `keys` from a direct array so a worker can reuse it for its
+    /// next morsel without re-initializing the whole domain.
+    fn reset(&mut self, keys: &[i64]) {
+        if let MergeSlots::Direct(slots) = self {
+            for &key in keys {
+                slots[key as usize] = -1;
             }
         }
     }
+
+    fn into_group_index(self, packer: &KeyPacker) -> GroupIndex {
+        GroupIndex { min: packer.mins[0], domain: packer.domain, slots: self }
+    }
+}
+
+/// How one aggregate folds a block.
+enum Fold {
+    /// SUM/AVG over a [`kernel::BlockProg`] output.
+    Input(usize),
+    /// COUNT of rows whose argument cannot be NULL.
+    Count,
+    /// The per-row kernel fallback.
+    Row(AggK),
+}
+
+/// The compiled aggregate list of one `Agg` operator: the shared block
+/// program, one [`Fold`] per aggregate, and their zero-slot states.
+struct AggFolds {
+    prog: kernel::BlockProg,
+    folds: Vec<Fold>,
+    empty: Vec<AggState>,
+}
+
+impl AggFolds {
+    /// Fresh zero-slot accumulators, one per aggregate.
+    fn states(&self) -> Vec<AggState> {
+        self.empty.clone()
+    }
+
+    /// Folds one block whose rows were resolved to group `slots`: each
+    /// aggregate walks the block in row order, so every group receives its
+    /// inputs in exactly the order a per-row loop would feed them — float
+    /// sums are bit-identical to it.
+    fn fold_block(
+        &self,
+        rows: Rows,
+        slots: &[u32],
+        states: &mut [AggState],
+        scratch: &mut BlockScratch,
+    ) {
+        if !self.prog.is_empty() {
+            self.prog.eval(rows, scratch);
+        }
+        for (fold, state) in self.folds.iter().zip(states) {
+            match (fold, state) {
+                (Fold::Row(k), state) => {
+                    for (i, &g) in slots.iter().enumerate() {
+                        k.update(state, g as usize, rows.phys(i));
+                    }
+                }
+                (Fold::Count, AggState::Count { counts }) => {
+                    for &g in slots {
+                        counts[g as usize] += 1;
+                    }
+                }
+                (Fold::Input(o), AggState::SumF { sums, touched }) => {
+                    for (&g, &v) in slots.iter().zip(scratch.f64s(*o)) {
+                        sums[g as usize] += v;
+                        touched[g as usize] = true;
+                    }
+                }
+                (Fold::Input(o), AggState::SumI { sums, touched }) => {
+                    for (&g, &v) in slots.iter().zip(scratch.i64s(*o)) {
+                        sums[g as usize] += v;
+                        touched[g as usize] = true;
+                    }
+                }
+                (Fold::Input(o), AggState::Avg { sums, counts }) => {
+                    for (&g, &v) in slots.iter().zip(scratch.f64s(*o)) {
+                        sums[g as usize] += v;
+                        counts[g as usize] += 1;
+                    }
+                }
+                _ => unreachable!("folds and states are compiled together"),
+            }
+        }
+    }
+}
+
+/// A (partial) aggregation: groups in first-occurrence order, with their
+/// keys, representative physical rows and accumulators.
+struct Partial<K> {
+    keys: Vec<K>,
+    reprs: Vec<u32>,
+    states: Vec<AggState>,
+}
+
+impl<K> Partial<K> {
+    fn new(folds: &AggFolds) -> Partial<K> {
+        Partial { keys: Vec::new(), reprs: Vec::new(), states: folds.states() }
+    }
+
+    /// Appends a fresh group slot and returns its id.
+    fn add_group(&mut self, key: K, repr: u32) -> u32 {
+        let g = self.reprs.len() as u32;
+        self.keys.push(key);
+        self.reprs.push(repr);
+        for s in &mut self.states {
+            s.touch();
+        }
+        g
+    }
+
+    /// Folds `other`'s groups into this partial, resolving each through
+    /// `slot_of(key, next)` → `(slot, is_new)`. Partials merge in morsel-index
+    /// order and groups in local first-occurrence order, which reproduces
+    /// the serial slot numbering exactly (a group's first global occurrence
+    /// is in the earliest morsel containing it); every floating-point
+    /// reassociation point is a fixed morsel boundary.
+    fn merge(&mut self, other: &Partial<K>, mut slot_of: impl FnMut(&K, usize) -> (usize, bool))
+    where
+        K: Clone,
+    {
+        for (ls, (key, &repr)) in other.keys.iter().zip(&other.reprs).enumerate() {
+            let (g, is_new) = slot_of(key, self.reprs.len());
+            if is_new {
+                self.add_group(key.clone(), repr);
+            }
+            for (s, ps) in self.states.iter_mut().zip(&other.states) {
+                s.merge_slot(g, ps, ls);
+            }
+        }
+    }
+}
+
+/// Per-worker scratch of the block fold, reused across blocks and morsels.
+#[derive(Default)]
+struct FoldScratch {
+    slots: Vec<u32>,
+    eval: BlockScratch,
+}
+
+/// The block fold (DESIGN.md §3): logical rows `range` in blocks of
+/// ≤ [`BLOCK_ROWS`]. Per block, `resolve` first assigns every row its group
+/// slot — in row order, creating groups in `part` as they first occur — and
+/// then every aggregate folds the block ([`AggFolds::fold_block`]).
+fn fold_blocks<K>(
+    folds: &AggFolds,
+    chunk: &Chunk,
+    range: std::ops::Range<usize>,
+    part: &mut Partial<K>,
+    scratch: &mut FoldScratch,
+    mut resolve: impl FnMut(Rows, &mut Vec<u32>, &mut Partial<K>),
+) {
+    for start in range.clone().step_by(BLOCK_ROWS) {
+        let rows = chunk.rows(start, BLOCK_ROWS.min(range.end - start));
+        scratch.slots.clear();
+        resolve(rows, &mut scratch.slots, part);
+        folds.fold_block(rows, &scratch.slots, &mut part.states, &mut scratch.eval);
+    }
+}
+
+/// Global (no `GROUP BY`) aggregation: a single slot. Morsel-parallel
+/// partials merge into it in morsel-index order.
+fn aggregate_singleton(
+    folds: &AggFolds,
+    chunk: &Chunk,
+    degree: usize,
+) -> (Vec<u32>, Vec<AggState>) {
+    let one_slot = || {
+        let mut part = Partial::new(folds);
+        part.add_group((), if chunk.is_empty() { 0 } else { chunk.phys(0) as u32 });
+        part
+    };
+    let fold = |range, scratch: &mut FoldScratch| {
+        let mut part = one_slot();
+        fold_blocks(folds, chunk, range, &mut part, scratch, |rows, slots, _| {
+            slots.resize(rows.len(), 0)
+        });
+        part
+    };
+    let part = if degree > 1 {
+        let partials: Vec<Partial<()>> =
+            run_morsels(degree, &row_morsels(chunk.len()), FoldScratch::default, |s, m| {
+                fold(m.range(), s)
+            });
+        let mut part = one_slot();
+        for p in &partials {
+            part.merge(p, |_, _| (0, false));
+        }
+        part
+    } else {
+        fold(0..chunk.len(), &mut FoldScratch::default())
+    };
+    (part.reprs, part.states)
+}
+
+/// Folds `range` over coded keys: each block's keys pack block-at-a-time,
+/// then resolve through `slots` in row order.
+fn fold_coded(
+    folds: &AggFolds,
+    chunk: &Chunk,
+    packer: &KeyPacker,
+    range: std::ops::Range<usize>,
+    slots: &mut MergeSlots,
+    part: &mut Partial<i64>,
+    scratch: &mut FoldScratch,
+) {
+    let (mut keys, mut codes) = (Vec::new(), Vec::new());
+    fold_blocks(folds, chunk, range, part, scratch, |rows, out, part| {
+        packer.pack(rows, &mut codes, &mut keys);
+        for (i, &key) in keys.iter().enumerate() {
+            let (g, is_new) = slots.get_or_insert(key, part.reprs.len());
+            if is_new {
+                part.add_group(key, rows.phys(i) as u32);
+            }
+            out.push(g as u32);
+        }
+    });
+}
+
+/// Coded-key aggregation. Serially one fold over the chosen key → slot
+/// structure; morsel-parallel, every morsel pre-aggregates into local slots
+/// (a worker-reused direct array, or a fresh hash map) and the partials
+/// merge in morsel-index order into the structure the serial fold would
+/// have built, so Fig. 9 join fusion sees the same [`GroupIndex`] either
+/// way.
+fn aggregate_coded(
+    folds: &AggFolds,
+    chunk: &Chunk,
+    packer: &KeyPacker,
+    kind: SlotKind,
+    single_key: bool,
+    degree: usize,
+) -> (Vec<u32>, Vec<AggState>, Option<GroupIndex>) {
+    let n = chunk.len();
+    let mut slots = MergeSlots::new(kind, packer.domain, n);
+    let mut part = Partial::new(folds);
+    if degree > 1 {
+        let partials: Vec<Partial<i64>> = run_morsels(
+            degree,
+            &row_morsels(n),
+            || {
+                let direct = (kind == SlotKind::Direct)
+                    .then(|| MergeSlots::new(SlotKind::Direct, packer.domain, 0));
+                (FoldScratch::default(), direct)
+            },
+            |(scratch, direct), m| {
+                let mut p = Partial::new(folds);
+                match direct {
+                    Some(local) => {
+                        fold_coded(folds, chunk, packer, m.range(), local, &mut p, scratch);
+                        local.reset(&p.keys);
+                    }
+                    None => {
+                        let mut local = MergeSlots::Hash(HashMap::new());
+                        fold_coded(folds, chunk, packer, m.range(), &mut local, &mut p, scratch);
+                    }
+                }
+                p
+            },
+        );
+        for p in &partials {
+            part.merge(p, |&key, next| slots.get_or_insert(key, next));
+        }
+    } else {
+        fold_coded(folds, chunk, packer, 0..n, &mut slots, &mut part, &mut FoldScratch::default());
+    }
+    let group_index = single_key.then(|| slots.into_group_index(packer));
+    (part.reprs, part.states, group_index)
+}
+
+/// Generic (`Vec<Value>`) keys — the interpreted-mode and plain-string-key
+/// path: per-row key resolution, same fold and merge discipline as the
+/// coded path.
+fn aggregate_generic(
+    folds: &AggFolds,
+    chunk: &Chunk,
+    group_by: &[usize],
+    degree: usize,
+) -> (Vec<u32>, Vec<AggState>) {
+    let fold = |range, scratch: &mut FoldScratch| {
+        let mut part: Partial<Vec<Value>> = Partial::new(folds);
+        let mut local: HashMap<Vec<Value>, u32> = HashMap::new();
+        fold_blocks(folds, chunk, range, &mut part, scratch, |rows, out, part| {
+            for i in 0..rows.len() {
+                let p = rows.phys(i);
+                let key: Vec<Value> = group_by.iter().map(|&c| chunk.value_at(c, p)).collect();
+                metrics::hash_probe();
+                let next = part.reprs.len() as u32;
+                let g = *local.entry(key).or_insert_with(|| {
+                    metrics::allocation();
+                    next
+                });
+                if g == next {
+                    part.add_group(Vec::new(), p as u32);
+                }
+                out.push(g);
+            }
+        });
+        // The map owns every group's key: move them into slot order.
+        for (key, g) in local {
+            part.keys[g as usize] = key;
+        }
+        part
+    };
+    let part = if degree > 1 {
+        let partials: Vec<Partial<Vec<Value>>> =
+            run_morsels(degree, &row_morsels(chunk.len()), FoldScratch::default, |s, m| {
+                fold(m.range(), s)
+            });
+        let mut part = Partial::new(folds);
+        let mut map: HashMap<Vec<Value>, u32> = HashMap::new();
+        for p in &partials {
+            part.merge(p, |key, next| {
+                let g = *map.entry(key.clone()).or_insert(next as u32) as usize;
+                (g, g == next)
+            });
+        }
+        part
+    } else {
+        fold(0..chunk.len(), &mut FoldScratch::default())
+    };
+    (part.reprs, part.states)
 }
 
 /// Reads one value out of a column set (residual evaluation helper).
@@ -1668,12 +1742,12 @@ fn finish_left_row(lp: usize, matched: bool, kind: JoinKind, pairs: &mut Vec<(u3
     }
 }
 
-/// Packs multiple coded keys into one `u64` using per-key ranges.
+/// Packs multiple coded keys into one `i64` using per-key ranges.
 struct KeyPacker {
-    kernels_mins: Vec<i64>,
+    mins: Vec<i64>,
     strides: Vec<i64>,
     domain: i64,
-    kks: Vec<I64K>,
+    cols: Vec<CodeCol>,
 }
 
 impl KeyPacker {
@@ -1682,51 +1756,43 @@ impl KeyPacker {
     /// Returns `None` when the combined domain overflows. With `degree > 1`
     /// the min/max scan itself runs morsel-parallel (min/max merges are
     /// exact, so this is bit-identical to the serial scan).
-    fn fit(kks: Vec<I64K>, chunk: &Chunk, degree: usize) -> Option<KeyPacker> {
-        let nk = kks.len();
-        let mut mins = vec![i64::MAX; nk];
-        let mut maxs = vec![i64::MIN; nk];
-        if degree > 1 {
-            let parts: Vec<(Vec<i64>, Vec<i64>)> = run_morsels(
-                degree,
-                &row_morsels(chunk.len()),
-                || (),
-                |(), m| {
-                    let mut mins = vec![i64::MAX; nk];
-                    let mut maxs = vec![i64::MIN; nk];
-                    for i in m.range() {
-                        let p = chunk.phys(i);
-                        for (k, kk) in kks.iter().enumerate() {
-                            let v = kk(p);
-                            mins[k] = mins[k].min(v);
-                            maxs[k] = maxs[k].max(v);
-                        }
+    fn fit(cols: Vec<CodeCol>, chunk: &Chunk, degree: usize) -> Option<KeyPacker> {
+        let nk = cols.len();
+        let scan = |range: std::ops::Range<usize>| {
+            let (mut mins, mut maxs) = (vec![i64::MAX; nk], vec![i64::MIN; nk]);
+            let mut codes = Vec::new();
+            for start in range.clone().step_by(BLOCK_ROWS) {
+                let rows = chunk.rows(start, BLOCK_ROWS.min(range.end - start));
+                codes.resize(rows.len(), 0);
+                for (k, c) in cols.iter().enumerate() {
+                    c.read(rows, &mut codes);
+                    for &v in &codes {
+                        mins[k] = mins[k].min(v);
+                        maxs[k] = maxs[k].max(v);
                     }
-                    (mins, maxs)
-                },
-            );
-            for (pmins, pmaxs) in &parts {
-                for k in 0..nk {
-                    mins[k] = mins[k].min(pmins[k]);
-                    maxs[k] = maxs[k].max(pmaxs[k]);
                 }
             }
+            (mins, maxs)
+        };
+        let parts = if degree > 1 {
+            run_morsels(degree, &row_morsels(chunk.len()), || (), |(), m| scan(m.range()))
         } else {
-            for p in chunk.physical_rows() {
-                for (k, kk) in kks.iter().enumerate() {
-                    let v = kk(p);
-                    mins[k] = mins[k].min(v);
-                    maxs[k] = maxs[k].max(v);
-                }
+            vec![scan(0..chunk.len())]
+        };
+        let (mut mins, mut maxs) = (vec![i64::MAX; nk], vec![i64::MIN; nk]);
+        for (pmins, pmaxs) in &parts {
+            for k in 0..nk {
+                mins[k] = mins[k].min(pmins[k]);
+                maxs[k] = maxs[k].max(pmaxs[k]);
             }
         }
         if chunk.is_empty() {
             mins.iter_mut().for_each(|m| *m = 0);
             maxs.iter_mut().for_each(|m| *m = 0);
         }
-        let mut strides = vec![1i64; kks.len()];
+        let mut strides = vec![1i64; nk];
         let mut domain: i64 = 1;
-        for k in (0..kks.len()).rev() {
+        for k in (0..nk).rev() {
             strides[k] = domain;
             let width = maxs[k].checked_sub(mins[k])?.checked_add(1)?;
             domain = domain.checked_mul(width)?;
@@ -1734,114 +1800,85 @@ impl KeyPacker {
                 return None;
             }
         }
-        Some(KeyPacker { kernels_mins: mins, strides, domain, kks })
+        Some(KeyPacker { mins, strides, domain, cols })
     }
 
-    #[inline]
-    fn pack(&self, p: usize) -> i64 {
-        let mut key = 0i64;
-        for (k, kk) in self.kks.iter().enumerate() {
-            key += (kk(p) - self.kernels_mins[k]) * self.strides[k];
+    /// Packs one block's keys into `keys`, reading each key column
+    /// block-at-a-time through `codes`.
+    fn pack(&self, rows: Rows, codes: &mut Vec<i64>, keys: &mut Vec<i64>) {
+        keys.clear();
+        keys.resize(rows.len(), 0);
+        codes.resize(rows.len(), 0);
+        for ((c, &min), &stride) in self.cols.iter().zip(&self.mins).zip(&self.strides) {
+            c.read(rows, codes);
+            for (key, &v) in keys.iter_mut().zip(codes.iter()) {
+                *key += (v - min) * stride;
+            }
         }
-        key
     }
 }
 
-/// A reusable group index: the aggregation's key → slot structure, handed to
-/// a parent join by the Fig. 9 inter-operator optimization.
-pub(crate) enum GroupIndex {
-    /// Dense direct-array slots over `[min, min + slots.len())`.
-    Direct { min: i64, slots: Vec<i32> },
-    /// Lowered chained-array map keyed by `key - min`.
-    Lowered { min: i64, domain: i64, map: ChainedArrayMap<u32> },
-    /// Generic hash map keyed by `key - min`.
-    Hash { min: i64, domain: i64, map: HashMap<u64, u32> },
+/// A reusable group index: the aggregation's key → slot structure over
+/// packed offsets `key - min`, handed to a parent join by the Fig. 9
+/// inter-operator optimization.
+pub(crate) struct GroupIndex {
+    min: i64,
+    domain: i64,
+    slots: MergeSlots,
 }
 
 impl GroupIndex {
     /// Looks up the group slot holding `key`, if any.
     pub(crate) fn lookup(&self, key: i64) -> Option<u32> {
-        match self {
-            GroupIndex::Direct { min, slots } => {
-                let idx = key.checked_sub(*min)?;
-                if idx < 0 || idx as usize >= slots.len() {
-                    return None;
-                }
+        let idx = key.checked_sub(self.min)?;
+        if idx < 0 || idx >= self.domain {
+            return None;
+        }
+        match &self.slots {
+            MergeSlots::Direct(slots) => {
                 let g = slots[idx as usize];
                 (g >= 0).then_some(g as u32)
             }
-            GroupIndex::Lowered { min, domain, map } => {
-                let idx = key.checked_sub(*min)?;
-                if idx < 0 || idx >= *domain {
-                    return None;
-                }
-                map.get(idx as u64).copied()
-            }
-            GroupIndex::Hash { min, domain, map } => {
-                let idx = key.checked_sub(*min)?;
-                if idx < 0 || idx >= *domain {
-                    return None;
-                }
-                map.get(&(idx as u64)).copied()
-            }
+            MergeSlots::Lowered(map) => map.get(idx as u64).copied(),
+            MergeSlots::Hash(map) => map.get(&(idx as u64)).copied(),
         }
     }
 }
 
-/// Per-aggregate update kernels: the compiled (or interpreted) row→input
+/// Per-row aggregate update kernels — the fallback fold for inputs the
+/// block program does not cover: the compiled (or interpreted) row → input
 /// functions plus NULL guards. Kernels are read-only and `Sync`, so morsel
 /// workers share one set; the mutable accumulators live in [`AggState`].
 enum AggK {
-    SumF { k: F64K, null_k: Option<BoolK> },
-    SumI { k: F64K, null_k: Option<BoolK> },
+    /// SUM/AVG: the row → input kernel and its NULL guard.
+    Input { k: F64K, null_k: Option<BoolK> },
+    /// COUNT: its argument's NULL guard.
     Count { null_k: Option<BoolK> },
-    Avg { k: F64K, null_k: Option<BoolK> },
-    MinMax { is_min: bool, k: ValK },
+    /// MIN/MAX: the row → value kernel (NULL values are skipped).
+    Value(ValK),
 }
 
 impl AggK {
-    /// A fresh zero-slot accumulator state for this aggregate.
-    fn new_state(&self) -> AggState {
-        match self {
-            AggK::SumF { .. } => AggState::SumF { sums: Vec::new(), touched: Vec::new() },
-            AggK::SumI { .. } => AggState::SumI { sums: Vec::new(), touched: Vec::new() },
-            AggK::Count { .. } => AggState::Count { counts: Vec::new() },
-            AggK::Avg { .. } => AggState::Avg { sums: Vec::new(), counts: Vec::new() },
-            AggK::MinMax { is_min, .. } => AggState::MinMax { vals: Vec::new(), is_min: *is_min },
-        }
-    }
-
     /// Folds row `p` into group slot `g` of `state`.
     #[inline]
     fn update(&self, state: &mut AggState, g: usize, p: usize) {
         match (self, state) {
-            (AggK::SumF { k, null_k }, AggState::SumF { sums, touched }) => {
-                if null_k.as_ref().is_some_and(|nk| nk(p)) {
-                    return;
-                }
+            (AggK::Input { null_k: Some(nk), .. } | AggK::Count { null_k: Some(nk) }, _)
+                if nk(p) => {}
+            (AggK::Input { k, .. }, AggState::SumF { sums, touched }) => {
                 sums[g] += k(p);
                 touched[g] = true;
             }
-            (AggK::SumI { k, null_k }, AggState::SumI { sums, touched }) => {
-                if null_k.as_ref().is_some_and(|nk| nk(p)) {
-                    return;
-                }
+            (AggK::Input { k, .. }, AggState::SumI { sums, touched }) => {
                 sums[g] += k(p) as i64;
                 touched[g] = true;
             }
-            (AggK::Count { null_k }, AggState::Count { counts }) => {
-                if null_k.as_ref().is_none_or(|nk| !nk(p)) {
-                    counts[g] += 1;
-                }
-            }
-            (AggK::Avg { k, null_k }, AggState::Avg { sums, counts }) => {
-                if null_k.as_ref().is_some_and(|nk| nk(p)) {
-                    return;
-                }
+            (AggK::Input { k, .. }, AggState::Avg { sums, counts }) => {
                 sums[g] += k(p);
                 counts[g] += 1;
             }
-            (AggK::MinMax { is_min, k }, AggState::MinMax { vals, .. }) => {
+            (AggK::Count { .. }, AggState::Count { counts }) => counts[g] += 1,
+            (AggK::Value(k), AggState::MinMax { vals, is_min }) => {
                 let v = k(p);
                 if v.is_null() {
                     return;
@@ -1861,7 +1898,7 @@ impl AggK {
                     *slot = Some(v);
                 }
             }
-            _ => unreachable!("state was built by AggK::new_state of this kernel"),
+            _ => unreachable!("state was built for this aggregate's kind"),
         }
     }
 }
@@ -1869,6 +1906,7 @@ impl AggK {
 /// Struct-of-arrays aggregation accumulators, one entry per group slot.
 /// Kernel-free (and therefore `Send`): morsel workers return partial states
 /// to the coordinator, which merges them in morsel order.
+#[derive(Clone)]
 enum AggState {
     SumF { sums: Vec<f64>, touched: Vec<bool> },
     SumI { sums: Vec<i64>, touched: Vec<bool> },
@@ -1878,6 +1916,21 @@ enum AggState {
 }
 
 impl AggState {
+    /// The zero-slot accumulator of one aggregate: integer SUMs stay `i64`.
+    fn empty(spec: &AggSpec, schema: &Schema) -> AggState {
+        match spec.kind {
+            AggKind::Sum if spec.expr.ty(schema) == legobase_storage::Type::Int => {
+                AggState::SumI { sums: Vec::new(), touched: Vec::new() }
+            }
+            AggKind::Sum => AggState::SumF { sums: Vec::new(), touched: Vec::new() },
+            AggKind::Count => AggState::Count { counts: Vec::new() },
+            AggKind::Avg => AggState::Avg { sums: Vec::new(), counts: Vec::new() },
+            AggKind::Min | AggKind::Max => {
+                AggState::MinMax { vals: Vec::new(), is_min: spec.kind == AggKind::Min }
+            }
+        }
+    }
+
     /// Adds one group slot.
     fn touch(&mut self) {
         match self {
@@ -2004,110 +2057,6 @@ impl AggState {
             }
         }
     }
-}
-
-/// Morsel-parallel global (no `GROUP BY`) aggregation: per-morsel partial
-/// states, merged into one slot in morsel-index order.
-fn par_singleton(chunk: &Chunk, kernels: &[AggK], degree: usize) -> Vec<AggState> {
-    let partials: Vec<Vec<AggState>> = run_morsels(
-        degree,
-        &row_morsels(chunk.len()),
-        || (),
-        |(), m| {
-            let mut states: Vec<AggState> = kernels.iter().map(AggK::new_state).collect();
-            for s in &mut states {
-                s.touch();
-            }
-            for i in m.range() {
-                let p = chunk.phys(i);
-                for (k, s) in kernels.iter().zip(&mut states) {
-                    k.update(s, 0, p);
-                }
-            }
-            states
-        },
-    );
-    let mut states: Vec<AggState> = kernels.iter().map(AggK::new_state).collect();
-    for s in &mut states {
-        s.touch();
-    }
-    for part in &partials {
-        for (s, ps) in states.iter_mut().zip(part) {
-            s.merge_slot(0, ps, 0);
-        }
-    }
-    states
-}
-
-/// Morsel-parallel pre-aggregation for generic (`Vec<Value>`) keys — the
-/// interpreted-mode and plain-string-key path. Same merge discipline as the
-/// coded variant: morsels in index order, local groups in first-occurrence
-/// order, reproducing the serial slot numbering.
-fn par_aggregate_generic(
-    chunk: &Chunk,
-    group_by: &[usize],
-    kernels: &[AggK],
-    degree: usize,
-) -> (Vec<u32>, Vec<AggState>) {
-    struct Partial {
-        keys: Vec<Vec<Value>>,
-        reprs: Vec<u32>,
-        states: Vec<AggState>,
-    }
-    let partials: Vec<Partial> = run_morsels(
-        degree,
-        &row_morsels(chunk.len()),
-        || (),
-        |(), m| {
-            let mut local: HashMap<Vec<Value>, u32> = HashMap::new();
-            let mut part = Partial {
-                keys: Vec::new(),
-                reprs: Vec::new(),
-                states: kernels.iter().map(AggK::new_state).collect(),
-            };
-            for i in m.range() {
-                let p = chunk.phys(i);
-                let key: Vec<Value> = group_by.iter().map(|&c| chunk.value_at(c, p)).collect();
-                metrics::hash_probe();
-                let g = match local.get(&key) {
-                    Some(&g) => g,
-                    None => {
-                        let g = part.keys.len() as u32;
-                        local.insert(key.clone(), g);
-                        part.keys.push(key);
-                        part.reprs.push(p as u32);
-                        for s in &mut part.states {
-                            s.touch();
-                        }
-                        g
-                    }
-                };
-                for (k, s) in kernels.iter().zip(&mut part.states) {
-                    k.update(s, g as usize, p);
-                }
-            }
-            part
-        },
-    );
-    let mut reprs: Vec<u32> = Vec::new();
-    let mut states: Vec<AggState> = kernels.iter().map(AggK::new_state).collect();
-    let mut map: HashMap<&[Value], u32> = HashMap::new();
-    for part in &partials {
-        for (ls, (key, &repr)) in part.keys.iter().zip(&part.reprs).enumerate() {
-            let next = reprs.len() as u32;
-            let g = *map.entry(key.as_slice()).or_insert(next);
-            if g == next {
-                reprs.push(repr);
-                for s in &mut states {
-                    s.touch();
-                }
-            }
-            for (s, ps) in states.iter_mut().zip(&part.states) {
-                s.merge_slot(g as usize, ps, ls);
-            }
-        }
-    }
-    (reprs, states)
 }
 
 /// Gathers `chunk.cols[c]` at the given physical rows into an owned column.
@@ -2863,5 +2812,160 @@ mod tests {
         };
         let q = QueryPlan::new("staged", root).with_stage("pairs", stage);
         check_all_configs(&q, &data, &spec);
+    }
+
+    // ---- block fold vs the per-row fold, bit for bit ----
+
+    /// A synthetic aggregation input: group key `g` (13 values), floats `x`
+    /// and `d` spanning 14 orders of magnitude (so any reordering of a
+    /// group's additions changes the bits), an int `k`, and a float `y`
+    /// that is NULL on every fifth row.
+    fn fold_chunk(n: usize, packed: bool, sel: bool) -> Chunk {
+        use legobase_storage::Type;
+        let schema = Schema::of(&[
+            ("g", Type::Int),
+            ("x", Type::Float),
+            ("d", Type::Float),
+            ("k", Type::Int),
+            ("y", Type::Float),
+        ]);
+        let hash = |i: usize, m: u64| (i as u64).wrapping_mul(2_654_435_761) % m;
+        let mut cols = vec![
+            Column::I64(Arc::new((0..n).map(|i| (i as i64 * 7919) % 13).collect())),
+            Column::F64(Arc::new(
+                (0..n).map(|i| hash(i, 1000) as f64 / 7.0 * 10f64.powi(i as i32 % 15)).collect(),
+            )),
+            Column::F64(Arc::new((0..n).map(|i| hash(i + 3, 11) as f64 / 100.0).collect())),
+            Column::I64(Arc::new((0..n).map(|i| hash(i, 1000) as i64 - 500).collect())),
+            Column::F64(Arc::new((0..n).map(|i| i as f64 / 3.0).collect())),
+        ];
+        if packed {
+            for c in [0, 3] {
+                let Column::I64(v) = &cols[c] else { unreachable!() };
+                cols[c] = Column::I64Packed(Arc::new(legobase_storage::PackedInts::from_values(v)));
+            }
+        }
+        let mut nulls = vec![None; cols.len()];
+        nulls[4] = Some(Arc::new((0..n).map(|i| i % 5 == 0).collect::<Vec<bool>>()));
+        let sel = sel.then(|| Arc::new((0..n as u32).filter(|r| r % 3 != 1).collect::<Vec<u32>>()));
+        Chunk { schema, cols, nulls, sel, total: n, base: None }
+    }
+
+    fn fold_aggs() -> Vec<AggSpec> {
+        let revenue = || Expr::mul(Expr::col(1), Expr::sub(Expr::lit(1.0), Expr::col(2)));
+        vec![
+            AggSpec::new(AggKind::Sum, revenue(), "sum_rev"),
+            AggSpec::new(AggKind::Sum, Expr::mul(revenue(), Expr::lit(1.5)), "sum_rev_x"),
+            AggSpec::new(AggKind::Sum, Expr::col(3), "sum_k"),
+            AggSpec::new(
+                AggKind::Sum,
+                Expr::add(Expr::mul(Expr::col(3), Expr::lit(2i64)), Expr::col(0)),
+                "sum_k2g",
+            ),
+            AggSpec::new(AggKind::Avg, Expr::col(1), "avg_x"),
+            AggSpec::new(AggKind::Avg, Expr::col(3), "avg_k"),
+            AggSpec::new(AggKind::Count, Expr::lit(1i64), "n"),
+            AggSpec::new(AggKind::Count, Expr::col(0), "n_g"),
+            AggSpec::new(AggKind::Sum, Expr::col(4), "sum_y"),
+            AggSpec::new(AggKind::Avg, Expr::add(Expr::col(4), Expr::col(1)), "avg_yx"),
+            AggSpec::new(AggKind::Count, Expr::col(4), "n_y"),
+        ]
+    }
+
+    /// Indices into [`fold_aggs`] whose input is nullable.
+    const NULLABLE_AGGS: [usize; 3] = [8, 9, 10];
+
+    /// The per-row reference: every row folds every aggregate through
+    /// `AggK::update`, groups numbered by first occurrence.
+    fn per_row_fold(exec: &Exec, chunk: &Chunk, grouped: bool) -> (Vec<u32>, Vec<AggState>) {
+        let aggs = fold_aggs();
+        let kernels: Vec<AggK> = aggs.iter().map(|a| exec.agg_kernel(a, chunk)).collect();
+        let mut states: Vec<AggState> =
+            aggs.iter().map(|a| AggState::empty(a, &chunk.schema)).collect();
+        let key = kernel::code_kernel(0, chunk).expect("coded key");
+        let (mut slot_of, mut reprs) = (HashMap::new(), Vec::new());
+        if !grouped {
+            slot_of.insert(0, 0);
+            reprs.push(if chunk.is_empty() { 0 } else { chunk.phys(0) as u32 });
+            states.iter_mut().for_each(AggState::touch);
+        }
+        for p in chunk.physical_rows() {
+            let g = *slot_of.entry(if grouped { key(p) } else { 0 }).or_insert_with(|| {
+                reprs.push(p as u32);
+                states.iter_mut().for_each(AggState::touch);
+                reprs.len() - 1
+            });
+            for (k, s) in kernels.iter().zip(&mut states) {
+                k.update(s, g, p);
+            }
+        }
+        (reprs, states)
+    }
+
+    /// Every output value as raw bits (floats via `f64::to_bits`) plus its
+    /// NULL mask.
+    fn state_bits(states: Vec<AggState>, ngroups: usize) -> Vec<(Vec<u64>, Option<Vec<bool>>)> {
+        states
+            .into_iter()
+            .map(|s| {
+                let (col, mask) = s.finish(ngroups);
+                let bits = match col {
+                    Column::F64(v) => v.iter().map(|x| x.to_bits()).collect(),
+                    Column::I64(v) => v.iter().map(|&x| x as u64).collect(),
+                    other => panic!("unexpected aggregate column {other:?}"),
+                };
+                (bits, mask.map(|m| m.to_vec()))
+            })
+            .collect()
+    }
+
+    /// The block fold (serial singleton and all three coded slot kinds)
+    /// produces bit-identical outputs to the per-row `AggK::update` fold,
+    /// with and without a selection vector, over plain and packed inputs,
+    /// at every block-boundary row count; nullable inputs take the per-row
+    /// fallback and the rest take block folds.
+    #[test]
+    fn block_fold_is_bit_identical_to_per_row_fold() {
+        let data = TpchData::generate(0.001);
+        let settings = Config::OptC.settings();
+        let db = crate::SpecializedDb::load(&data, &Specialization::default(), &settings);
+        let exec = Exec { db: &db, settings: &settings, temps: HashMap::new() };
+        for n in [0usize, 1, 1023, 1024, 1025, 4097] {
+            for (packed, sel) in [(false, false), (false, true), (true, false), (true, true)] {
+                let chunk = fold_chunk(n, packed, sel);
+                let folds = exec.agg_folds(&fold_aggs(), &chunk, true);
+                for (i, fold) in folds.folds.iter().enumerate() {
+                    let fallback = NULLABLE_AGGS.contains(&i);
+                    assert_eq!(matches!(fold, Fold::Row(_)), fallback, "aggregate {i}");
+                }
+                let ctx = format!("n {n} packed {packed} sel {sel}");
+
+                let (want_reprs, want) = per_row_fold(&exec, &chunk, false);
+                let (reprs, got) = aggregate_singleton(&folds, &chunk, 1);
+                assert_eq!(reprs, want_reprs, "singleton reprs, {ctx}");
+                assert_eq!(state_bits(got, 1), state_bits(want, 1), "singleton, {ctx}");
+
+                let packer = KeyPacker::fit(vec![kernel::code_col(0, &chunk).unwrap()], &chunk, 1)
+                    .expect("small key domain");
+                for kind in [SlotKind::Direct, SlotKind::Lowered, SlotKind::Hash] {
+                    let (want_reprs, want) = per_row_fold(&exec, &chunk, true);
+                    let (reprs, got, index) =
+                        aggregate_coded(&folds, &chunk, &packer, kind, true, 1);
+                    assert_eq!(reprs, want_reprs, "{kind:?} reprs, {ctx}");
+                    let ngroups = reprs.len();
+                    assert_eq!(
+                        state_bits(got, ngroups),
+                        state_bits(want, ngroups),
+                        "{kind:?}, {ctx}"
+                    );
+                    // The group index resolves every key to its slot.
+                    let index = index.expect("single-key group index");
+                    for (g, &r) in reprs.iter().enumerate() {
+                        let key = kernel::code_kernel(0, &chunk).unwrap()(r as usize);
+                        assert_eq!(index.lookup(key), Some(g as u32), "{kind:?}, {ctx}");
+                    }
+                }
+            }
+        }
     }
 }

@@ -5,6 +5,8 @@
 
 use legobase::engine::expr::{AggKind, Expr};
 use legobase::engine::plan::{AggSpec, JoinKind, Plan, QueryPlan, SortOrder};
+use legobase::engine::Settings;
+use legobase::storage::Value;
 use legobase::{Config, LegoBase};
 use std::sync::OnceLock;
 
@@ -229,4 +231,65 @@ fn distinct_on_empty_input() {
             }),
         },
     );
+}
+
+/// Runs SQL text under every configuration serially and under Opt/C at
+/// degree 4; every run must return exactly the Dbx rows.
+fn check_sql_exact(sql: &str) -> Vec<Vec<Value>> {
+    let sys = system();
+    let run = |settings: &Settings| sys.run_sql_with_settings(sql, settings).expect(sql).result;
+    let reference = run(&Config::Dbx.settings());
+    let parallel = Config::OptC.settings().with_parallelism(4);
+    for settings in Config::ALL.iter().map(|c| c.settings()).chain([parallel]) {
+        let got = run(&settings);
+        assert_eq!(got.rows(), reference.rows(), "{sql}\nunder {settings:?}");
+    }
+    reference.rows().to_vec()
+}
+
+/// `(l_linenumber / 2) * 2` summed with integer semantics, from the
+/// per-linenumber row counts (no division involved).
+fn expected_even_linenumber_sum(group_filter: &str) -> i64 {
+    let sys = system();
+    let sql = format!(
+        "SELECT l_linenumber, count(*) AS n FROM lineitem {group_filter} GROUP BY l_linenumber"
+    );
+    let counts = sys.run_sql(&sql, Config::Dbx).expect("count query").result;
+    counts.rows().iter().map(|r| r[0].as_int() / 2 * 2 * r[1].as_int()).sum()
+}
+
+#[test]
+fn integer_division_truncates_in_every_engine() {
+    // Int/Int division truncates; an f64 quotient would sum every
+    // linenumber unchanged.
+    let rows = check_sql_exact("SELECT sum(l_linenumber / 2 * 2) AS s FROM lineitem");
+    assert_eq!(rows, vec![vec![Value::Int(expected_even_linenumber_sum(""))]]);
+}
+
+#[test]
+fn integer_division_by_zero_is_null_in_every_engine() {
+    // Every quotient is NULL, so SUM sees no input at all: NULL, not a
+    // panic and not the sum of ±inf/NaN casts.
+    let rows = check_sql_exact(
+        "SELECT sum(l_orderkey / (l_linenumber - l_linenumber)) AS s FROM lineitem",
+    );
+    assert_eq!(rows, vec![vec![Value::Null]]);
+}
+
+#[test]
+fn grouped_integer_arithmetic_agrees_across_engines() {
+    let rows = check_sql_exact(
+        "SELECT l_returnflag, sum(l_linenumber / 2 * 2) AS s, \
+         count(l_orderkey / (l_linenumber - l_linenumber)) AS nq, count(*) AS n \
+         FROM lineitem GROUP BY l_returnflag ORDER BY l_returnflag",
+    );
+    assert!(!rows.is_empty());
+    for row in &rows {
+        let flag = row[0].as_str();
+        let want = expected_even_linenumber_sum(&format!("WHERE l_returnflag = '{flag}'"));
+        assert_eq!(row[1], Value::Int(want), "sum for flag {flag}");
+        // COUNT(expr) skips the NULL quotients.
+        assert_eq!(row[2], Value::Int(0), "count for flag {flag}");
+        assert!(row[3].as_int() > 0);
+    }
 }
