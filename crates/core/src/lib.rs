@@ -110,12 +110,15 @@ impl LegoBase {
     /// pays for regeneration). The reader verifies magic, version, and
     /// per-column checksums before any payload is trusted.
     ///
-    /// A v3 archive is `mmap`ed read-only: its bit-packed columns borrow
-    /// their words zero-copy from the page cache, and the encoded-column
-    /// loader adopts them instead of re-encoding — bit-identical results,
-    /// no decode tax on load. Mapping failures and v1/v2 archives fall back
-    /// to the plain read+decode path; set `LEGOBASE_MMAP=0` to force that
-    /// path everywhere (CI runs the equivalence suites once this way).
+    /// Each column payload decodes straight into the plain base column that
+    /// every later load shares. The archive is `mmap`ed read-only: its
+    /// bit-packed columns also borrow their words zero-copy from the page
+    /// cache, and the encoded-column loader adopts them instead of
+    /// re-encoding — bit-identical results. Only the current format version
+    /// loads; older files are a typed `BadVersion` error. A mapping failure
+    /// falls back to the plain read+decode path; set `LEGOBASE_MMAP=0` to
+    /// force that path everywhere (CI runs the equivalence suites once this
+    /// way).
     ///
     /// ```no_run
     /// use legobase::{Config, LegoBase};

@@ -2,16 +2,19 @@
 //!
 //! Loading is where LegoBase pays for its optimizations (Fig. 21): building
 //! partitions, date indices, and dictionaries all happen here, off the query
-//! critical path. Both loaders report wall-clock duration and approximate
-//! memory footprint so the bench harness can regenerate Figs. 20 and 21.
+//! critical path. The base data is stored once, as plain columns
+//! ([`TpchData`]); the specialized loader shares the columns a query uses
+//! and pays only for the structures its [`Specialization`] asks for, while
+//! the generic loader builds the row layout its engines scan. Both loaders
+//! report wall-clock duration and approximate memory footprint so the bench
+//! harness can regenerate Figs. 20 and 21.
 
 use crate::settings::Settings;
 use crate::spec::{Specialization, UnpackStrategy};
 use legobase_storage::column::{ColumnSpec, ColumnTable};
 use legobase_storage::dateindex::DateYearIndex;
 use legobase_storage::partition::{ForeignKeyPartition, PrimaryKeyIndex};
-use legobase_storage::stats::TableStats;
-use legobase_storage::{Catalog, RowTable, Value};
+use legobase_storage::{Catalog, Column, RowTable, Value};
 use legobase_tpch::TpchData;
 use std::collections::HashMap;
 use std::time::{Duration, Instant};
@@ -44,14 +47,15 @@ fn int_column(table: &RowTable, col: usize) -> Vec<i64> {
 }
 
 impl GenericDb {
-    /// Loads the TPC-H data as row tables; builds row-level partitions when
-    /// `settings.partitioning` requests them (the TPC-H/C configuration).
+    /// Loads the TPC-H data as row tables built from the base columns;
+    /// builds row-level partitions when `settings.partitioning` requests
+    /// them (the TPC-H/C configuration).
     pub fn load(data: &TpchData, spec: &Specialization, settings: &Settings) -> GenericDb {
         let start = Instant::now();
-        let mut tables = HashMap::new();
-        for (name, table) in data.tables() {
-            tables.insert(name.to_string(), table.clone());
-        }
+        let tables: HashMap<String, RowTable> = data
+            .tables()
+            .map(|(name, table)| (name.to_string(), column_table_to_rows(table)))
+            .collect();
         let mut fk_partitions = HashMap::new();
         let mut pk_indexes = HashMap::new();
         if settings.partitioning {
@@ -105,8 +109,6 @@ pub struct SpecializedDb {
     pub pk_indexes: HashMap<(String, usize), PrimaryKeyIndex>,
     /// Date-year indexes (Section 3.2.3).
     pub date_indexes: HashMap<(String, usize), DateYearIndex>,
-    /// Per-table statistics collected during loading.
-    pub stats: HashMap<String, TableStats>,
     /// Scan strategy per encoded column, copied from the specialization
     /// report (PR 10); the executor's fused unpack-filter consults it.
     pub unpack_strategies: HashMap<(String, usize), UnpackStrategy>,
@@ -116,16 +118,17 @@ pub struct SpecializedDb {
 
 impl SpecializedDb {
     /// Loads the TPC-H data in columnar layout, applying the query's
-    /// specialization report under the given settings:
+    /// specialization report under the given settings. Base columns are
+    /// shared (`Arc` clones), never copied; what a load builds is exactly
+    /// what its report asks for:
     ///
     /// * `string_dict` → dictionary-encode the attributes the report lists;
-    /// * `field_removal` → only materialize referenced attributes;
+    /// * `field_removal` → only keep referenced attributes;
     /// * `partitioning` → build FK partitions and PK 1D arrays;
     /// * `date_indices` → build year indices.
     pub fn load(data: &TpchData, spec: &Specialization, settings: &Settings) -> SpecializedDb {
         let start = Instant::now();
         let mut tables = HashMap::new();
-        let mut stats = HashMap::new();
         for (name, table) in data.tables() {
             let mut cspec = ColumnSpec::default();
             if settings.string_dict {
@@ -144,17 +147,14 @@ impl SpecializedDb {
                     cspec.used = Some(Vec::new());
                 }
             }
-            let ct = ColumnTable::from_rows(table, &cspec);
-            stats.insert(name.to_string(), TableStats::of_columns(&ct));
-            tables.insert(name.to_string(), ct);
+            tables.insert(name.to_string(), table.project(&cspec));
         }
 
         // Structures whose key column was removed as unused are skipped: a
         // query that never references an attribute cannot join or filter
         // through it either.
-        let loaded = |table: &str, column: usize| {
-            !matches!(tables[table].column(column), legobase_storage::Column::Absent)
-        };
+        let loaded =
+            |table: &str, column: usize| !matches!(tables[table].column(column), Column::Absent);
         let mut fk_partitions = HashMap::new();
         let mut pk_indexes = HashMap::new();
         if settings.partitioning {
@@ -218,7 +218,6 @@ impl SpecializedDb {
                 // The writer's `from_values` and `encode` here derive the
                 // same base/max/width/words, so query results are
                 // bit-identical either way.
-                use legobase_storage::Column;
                 let mapped = data.mapped_packed(&p.table, p.column).and_then(|mp| match col {
                     Column::I64(v) if v.len() == mp.len() => {
                         Some(Column::I64Packed(std::sync::Arc::clone(mp)))
@@ -245,7 +244,6 @@ impl SpecializedDb {
             fk_partitions,
             pk_indexes,
             date_indexes,
-            stats,
             unpack_strategies: if settings.encoding {
                 spec.unpack_strategies.clone()
             } else {
@@ -291,6 +289,7 @@ mod tests {
     use super::*;
     use crate::settings::Config;
     use legobase_storage::DictKind;
+    use std::sync::Arc;
 
     fn data() -> TpchData {
         TpchData::generate(0.002)
@@ -317,7 +316,44 @@ mod tests {
         assert_eq!(part.fk_partitions.len(), 1);
         assert_eq!(part.pk_indexes.len(), 1);
         assert!(part.report.approx_bytes > no_part.report.approx_bytes);
-        assert_eq!(part.table("orders").len(), d.table("orders").len());
+        assert_eq!(part.table("orders").len(), d.table("orders").len);
+    }
+
+    /// The generic loader's rows have exactly the footprint the base data
+    /// reports as its row-layout size (the Fig. 20 input baseline).
+    #[test]
+    fn base_approx_bytes_is_the_row_layout() {
+        let d = data();
+        let db = GenericDb::load(&d, &Specialization::default(), &Config::Dbx.settings());
+        assert_eq!(d.approx_bytes(), db.report.approx_bytes);
+    }
+
+    /// Specialized loads share the base columns instead of copying them:
+    /// two Opt/C loads of the same specialization and the base data hold
+    /// the same lineitem vectors.
+    #[test]
+    fn specialized_loads_share_base_columns() {
+        let d = data();
+        let spec = sample_spec();
+        let (a, b) = (
+            SpecializedDb::load(&d, &spec, &Config::OptC.settings()),
+            SpecializedDb::load(&d, &spec, &Config::OptC.settings()),
+        );
+        let base = d.table("lineitem");
+        for c in [0usize, 5, 6, 10] {
+            match (base.column(c), a.table("lineitem").column(c), b.table("lineitem").column(c)) {
+                (Column::I64(x), Column::I64(y), Column::I64(z)) => {
+                    assert!(Arc::ptr_eq(x, y) && Arc::ptr_eq(x, z), "column {c} copied")
+                }
+                (Column::F64(x), Column::F64(y), Column::F64(z)) => {
+                    assert!(Arc::ptr_eq(x, y) && Arc::ptr_eq(x, z), "column {c} copied")
+                }
+                (Column::Date(x), Column::Date(y), Column::Date(z)) => {
+                    assert!(Arc::ptr_eq(x, y) && Arc::ptr_eq(x, z), "column {c} copied")
+                }
+                other => panic!("column {c}: unexpected layouts {other:?}"),
+            }
+        }
     }
 
     #[test]
@@ -391,6 +427,12 @@ mod tests {
         let d = data();
         let db = SpecializedDb::load(&d, &Specialization::default(), &Config::HyPerLike.settings());
         let rt = column_table_to_rows(db.table("nation"));
-        assert_eq!(rt.rows, d.table("nation").rows);
+        let base = d.table("nation");
+        assert_eq!(rt.len(), base.len);
+        for (r, row) in rt.rows.iter().enumerate() {
+            for (c, v) in row.iter().enumerate() {
+                assert_eq!(v, &base.column(c).value_at(r), "row {r} column {c}");
+            }
+        }
     }
 }

@@ -1241,7 +1241,7 @@ mod tests {
         }
         let spec =
             ColumnSpec { dictionaries: dict.map(|k| vec![(2, k)]).unwrap_or_default(), used: None };
-        let ct = ColumnTable::from_rows(&rt, &spec);
+        let ct = ColumnTable::from_rows(&rt).project(&spec);
         Chunk {
             schema,
             nulls: vec![None; ct.columns.len()],

@@ -3,9 +3,10 @@
 //! The transformer converts an *array of records* (row layout) into a *record
 //! of arrays* (column layout). [`ColumnTable`] is that record of arrays:
 //! every attribute is a dense native vector, string attributes optionally
-//! dictionary-encoded. Unused attributes can simply be dropped at conversion
-//! time (unused-field removal, Section 3.6.1) — the corresponding column is
-//! never materialized.
+//! dictionary-encoded. Base tables are stored once in this form; a query's
+//! load [projects](ColumnTable::project) them, sharing the plain columns it
+//! uses, dropping unused attributes (unused-field removal, Section 3.6.1),
+//! and building only the dictionaries it asks for.
 
 use crate::date::Date;
 use crate::dict::{DictKind, StringDictionary};
@@ -412,48 +413,64 @@ pub struct ColumnTable {
 }
 
 impl ColumnTable {
-    /// Converts a row-layout table, applying dictionary encoding and
-    /// unused-field removal according to `spec`.
-    pub fn from_rows(table: &RowTable, spec: &ColumnSpec) -> ColumnTable {
-        let n = table.len();
-        let keep = |idx: usize| spec.used.as_ref().is_none_or(|u| u.contains(&idx));
-        let mut columns = Vec::with_capacity(table.schema.len());
-        for (idx, field) in table.schema.fields.iter().enumerate() {
-            if !keep(idx) {
-                columns.push(Column::Absent);
-                continue;
-            }
-            let dict_kind = spec.dictionaries.iter().find(|(i, _)| *i == idx).map(|(_, k)| *k);
-            let col = match (field.ty, dict_kind) {
-                (Type::Int, _) => {
-                    Column::I64(Arc::new(table.rows.iter().map(|r| r[idx].as_int()).collect()))
+    /// Converts a row-layout table into full-width plain columns (no
+    /// dictionaries, nothing removed): the stored form of base data.
+    pub fn from_rows(table: &RowTable) -> ColumnTable {
+        let rows = &table.rows;
+        let columns = table
+            .schema
+            .fields
+            .iter()
+            .enumerate()
+            .map(|(idx, field)| match field.ty {
+                Type::Int => Column::I64(Arc::new(rows.iter().map(|r| r[idx].as_int()).collect())),
+                Type::Float => {
+                    Column::F64(Arc::new(rows.iter().map(|r| r[idx].as_float()).collect()))
                 }
-                (Type::Float, _) => {
-                    Column::F64(Arc::new(table.rows.iter().map(|r| r[idx].as_float()).collect()))
+                Type::Date => {
+                    Column::Date(Arc::new(rows.iter().map(|r| r[idx].as_date().0).collect()))
                 }
-                (Type::Date, _) => {
-                    Column::Date(Arc::new(table.rows.iter().map(|r| r[idx].as_date().0).collect()))
+                Type::Bool => {
+                    Column::Bool(Arc::new(rows.iter().map(|r| r[idx].as_bool()).collect()))
                 }
-                (Type::Bool, _) => {
-                    Column::Bool(Arc::new(table.rows.iter().map(|r| r[idx].as_bool()).collect()))
-                }
-                (Type::Str, None) => Column::Str(Arc::new(
-                    table.rows.iter().map(|r| r[idx].as_str().to_string()).collect(),
+                Type::Str => Column::Str(Arc::new(
+                    rows.iter().map(|r| r[idx].as_str().to_string()).collect(),
                 )),
-                (Type::Str, Some(kind)) => {
-                    let dict =
-                        StringDictionary::build(kind, table.rows.iter().map(|r| r[idx].as_str()));
-                    let codes = table
-                        .rows
-                        .iter()
-                        .map(|r| dict.code(r[idx].as_str()).expect("value seen during build"))
-                        .collect();
-                    Column::Dict(Arc::new(codes), Arc::new(dict))
+            })
+            .collect();
+        ColumnTable { schema: table.schema.clone(), len: table.len(), columns }
+    }
+
+    /// Applies dictionary encoding and unused-field removal according to
+    /// `spec` without copying base data: a kept column shares this table's
+    /// `Arc` payload, a removed one becomes [`Column::Absent`], and only the
+    /// dictionary columns are built, from the plain strings.
+    pub fn project(&self, spec: &ColumnSpec) -> ColumnTable {
+        let keep = |idx: usize| spec.used.as_ref().is_none_or(|u| u.contains(&idx));
+        let columns = self
+            .columns
+            .iter()
+            .enumerate()
+            .map(|(idx, col)| {
+                if !keep(idx) {
+                    return Column::Absent;
                 }
-            };
-            columns.push(col);
-        }
-        ColumnTable { schema: table.schema.clone(), len: n, columns }
+                let dict_kind = spec.dictionaries.iter().find(|(i, _)| *i == idx).map(|(_, k)| *k);
+                match (col, dict_kind) {
+                    (Column::Str(strings), Some(kind)) => {
+                        let dict =
+                            StringDictionary::build(kind, strings.iter().map(String::as_str));
+                        let codes = strings
+                            .iter()
+                            .map(|s| dict.code(s).expect("value seen during build"))
+                            .collect();
+                        Column::Dict(Arc::new(codes), Arc::new(dict))
+                    }
+                    _ => col.clone(),
+                }
+            })
+            .collect();
+        ColumnTable { schema: self.schema.clone(), len: self.len, columns }
     }
 
     /// The column at `idx`.
@@ -499,7 +516,7 @@ mod tests {
     #[test]
     fn conversion_roundtrip() {
         let rows = sample();
-        let ct = ColumnTable::from_rows(&rows, &ColumnSpec::default());
+        let ct = ColumnTable::from_rows(&rows);
         assert_eq!(ct.len, 10);
         for (r, row) in rows.rows.iter().enumerate() {
             for (c, expected) in row.iter().enumerate().take(rows.schema.len()) {
@@ -514,7 +531,7 @@ mod tests {
     fn dictionary_encoding() {
         let rows = sample();
         let spec = ColumnSpec { dictionaries: vec![(2, DictKind::Normal)], used: None };
-        let ct = ColumnTable::from_rows(&rows, &spec);
+        let ct = ColumnTable::from_rows(&rows).project(&spec);
         let (codes, dict) = ct.by_name("mode").as_dict();
         assert_eq!(dict.len(), 2);
         for (r, row) in rows.rows.iter().enumerate() {
@@ -526,13 +543,24 @@ mod tests {
     fn unused_field_removal() {
         let rows = sample();
         let spec = ColumnSpec { dictionaries: vec![], used: Some(vec![0, 3]) };
-        let ct = ColumnTable::from_rows(&rows, &spec);
+        let ct = ColumnTable::from_rows(&rows).project(&spec);
         assert!(matches!(ct.columns[1], Column::Absent));
         assert!(matches!(ct.columns[2], Column::Absent));
-        assert!(
-            ct.approx_bytes()
-                < ColumnTable::from_rows(&rows, &ColumnSpec::default()).approx_bytes()
-        );
+        assert!(ct.approx_bytes() < ColumnTable::from_rows(&rows).approx_bytes());
+    }
+
+    #[test]
+    fn projection_shares_kept_columns() {
+        let base = ColumnTable::from_rows(&sample());
+        let spec = ColumnSpec { dictionaries: vec![(2, DictKind::Normal)], used: Some(vec![0, 2]) };
+        let ct = base.project(&spec);
+        match (&base.columns[0], &ct.columns[0]) {
+            (Column::I64(a), Column::I64(b)) => assert!(Arc::ptr_eq(a, b), "kept column copied"),
+            other => panic!("unexpected layouts {other:?}"),
+        }
+        assert!(matches!(ct.columns[1], Column::Absent));
+        assert!(matches!(ct.columns[2], Column::Dict(..)));
+        assert!(matches!(base.columns[2], Column::Str(_)), "the base stays plain");
     }
 
     #[test]
@@ -540,7 +568,7 @@ mod tests {
     fn absent_access_panics() {
         let rows = sample();
         let spec = ColumnSpec { dictionaries: vec![], used: Some(vec![0]) };
-        let ct = ColumnTable::from_rows(&rows, &spec);
+        let ct = ColumnTable::from_rows(&rows).project(&spec);
         ct.columns[1].value_at(0);
     }
 
@@ -563,7 +591,7 @@ mod tests {
     fn encode_roundtrips_through_readers() {
         let rows = sample();
         let spec = ColumnSpec { dictionaries: vec![(2, DictKind::Normal)], used: None };
-        let ct = ColumnTable::from_rows(&rows, &spec);
+        let ct = ColumnTable::from_rows(&rows).project(&spec);
         let stats = crate::stats::ColumnStats::new(0, None, None);
         for col in &ct.columns {
             let Some(enc) = col.encode(&stats) else { continue };
@@ -589,7 +617,7 @@ mod tests {
     fn readers_agree_with_plain_access() {
         let rows = sample();
         let spec = ColumnSpec { dictionaries: vec![(2, DictKind::Normal)], used: None };
-        let ct = ColumnTable::from_rows(&rows, &spec);
+        let ct = ColumnTable::from_rows(&rows).project(&spec);
         let stats = crate::stats::ColumnStats::new(0, None, None);
         let k = &ct.columns[0];
         let ek = k.encode(&stats).unwrap();

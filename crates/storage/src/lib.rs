@@ -34,8 +34,8 @@
 //!   archives serve packed payloads zero-copy from the page cache (PR 10).
 //! * [`metrics`] — portable proxy counters standing in for the paper's CPU
 //!   performance counters (Fig. 18).
-//! * [`stats`] — the loading-time statistics LegoBase uses to size
-//!   preallocated structures.
+//! * [`stats`] — the optimizer statistics collected when the data is
+//!   generated and persisted with it.
 
 pub mod column;
 pub mod date;

@@ -2,9 +2,10 @@
 //!
 //! "By default LegoBase uses the row layout, since this intuitive data
 //! organization facilitated fast development of the relational operators"
-//! (Section 3.3). The unoptimized engine configurations scan these tables
-//! directly; the optimized ones convert them to [`crate::column::ColumnTable`]
-//! via the `ColumnStore` transformer.
+//! (Section 3.3). The unoptimized engine configurations scan these tables;
+//! their loader builds them from the stored base columns
+//! ([`crate::column::ColumnTable`]), which the optimized configurations
+//! share directly.
 
 use crate::schema::Schema;
 use crate::value::{Tuple, Value};

@@ -11,43 +11,49 @@
 //! ```text
 //! magic "LBCA" | version u32 | scale_factor f64 | table_count u32
 //! per table:   name (u16 len + bytes) | row_count u64 | col_count u32
-//! per column:  tag u8 | payload_len u64 | [v3: zero pad to 8-byte file
-//!              offset] | payload | fnv1a(payload) u64
-//! v2+, after the last table, one stats block per table (TABLES order):
+//! per column:  tag u8 | payload_len u64 | zero pad to 8-byte file offset |
+//!              payload | fnv1a(payload) u64
+//! after the last table, one stats block per table (TABLES order):
 //!              payload_len u64 | payload | fnv1a(payload) u64
 //! ```
 //!
 //! Integer and date columns store the same frame-of-reference bit-packed
 //! form the engine scans ([`legobase_storage::PackedInts`]) whenever packing
-//! shrinks them — the encoding tag per column records the choice, and the
-//! reader rejects tampered headers and payloads with typed
-//! [`ArchiveError`]s (checksums are verified *before* any payload is
-//! parsed).
+//! shrinks them — the encoding tag per column records the choice. A packed
+//! payload is a 24-byte header (`base i64 | max i64 | width u8` plus seven
+//! zero bytes) followed by the words.
 //!
-//! Version 2 appends the optimizer statistics — row counts, per-column
-//! distinct counts and bounds, equi-depth histograms, and distinct sketches
-//! — so a loaded archive serves the same estimates as a fresh `dbgen` run
-//! without a collection pass over the data. Version 1 archives (no stats
-//! block) still load; their statistics are re-collected. A corrupt stats
-//! block is a typed [`ArchiveError::Corrupt`], never a panic, and never a
-//! silent fall-back to stale estimates.
+//! The reader accepts version 3 only; archives are regenerable caches, and
+//! older files get [`ArchiveError::BadVersion`]. It rejects tampered headers
+//! and payloads with typed [`ArchiveError`]s: checksums are verified
+//! *before* any payload is parsed, a table's row count is checked against
+//! what its column payloads can hold before anything is allocated by it, and
+//! each payload decodes straight into its typed column vector — the plain
+//! `I64`/`F64`/`Date`/`Str`/`Bool` [`Column`]s that [`TpchData`] stores and
+//! every specialized load shares.
 //!
-//! Version 3 (PR 10) aligns every column payload to an 8-byte file offset
-//! with deterministic zero padding (the pad length follows from the cursor
-//! position alone, so writer and reader agree without storing it), and
-//! packed payloads pad their 17-byte header to 24 bytes — the packed words
-//! therefore sit 8-byte aligned in the file. [`read_mapped`] exploits this:
-//! it `mmap`s the archive and hands the engine [`PackedInts`] that borrow
-//! the packed words straight from the page cache (zero copies, zero decode
-//! until a kernel asks). Any mapping failure — and any v1/v2 archive —
-//! falls back to the ordinary read+decode path; misaligned or truncated v3
-//! payloads are typed [`ArchiveError`]s, never panics or unaligned reads.
+//! The statistics blocks carry the optimizer statistics — row counts,
+//! per-column distinct counts and bounds, equi-depth histograms, and
+//! distinct sketches — so a loaded archive serves the same estimates as a
+//! fresh `dbgen` run without a collection pass over the data. A corrupt
+//! stats block is a typed [`ArchiveError::Corrupt`], never a panic, and
+//! never a silent fall-back to stale estimates.
+//!
+//! Every column payload starts at an 8-byte file offset (deterministic zero
+//! padding whose length follows from the cursor position alone, so writer
+//! and reader agree without storing it), and the packed header is 24 bytes,
+//! so the packed words sit 8-byte aligned in the file. [`read_mapped`]
+//! exploits this: it `mmap`s the archive and hands the engine [`PackedInts`]
+//! that borrow the packed words straight from the page cache (zero copies,
+//! zero decode until a kernel asks). A mapping failure falls back to the
+//! ordinary read+decode path; misaligned or truncated payloads are typed
+//! [`ArchiveError`]s, never panics or unaligned reads.
 
 use crate::gen::TpchData;
 use crate::schema::{catalog, TABLES};
 use legobase_storage::{
-    ColumnStats, Date, DistinctSketch, Histogram, Mapping, PackedInts, RowTable, TableStatistics,
-    Type, Value,
+    Column, ColumnStats, ColumnTable, Date, DistinctSketch, Histogram, Mapping, PackedInts,
+    TableStatistics, Type, Value,
 };
 use std::collections::HashMap;
 use std::fmt;
@@ -56,10 +62,12 @@ use std::sync::Arc;
 
 /// File magic: "LegoBase Column Archive".
 pub const MAGIC: [u8; 4] = *b"LBCA";
-/// Current format version (v3 = v2 + 8-byte-aligned mappable payloads).
+/// The format version, the only one the reader accepts (v3: statistics
+/// blocks and 8-byte-aligned mappable payloads).
 pub const VERSION: u32 = 3;
-/// Oldest version the reader still accepts.
-pub const MIN_VERSION: u32 = 1;
+/// Bytes of a packed payload's header: `base i64 | max i64 | width u8`,
+/// zero-padded so the words that follow stay 8-byte aligned.
+const PACKED_HEADER: usize = 24;
 
 /// Everything that can go wrong writing or reading an archive.
 #[derive(Debug)]
@@ -128,29 +136,11 @@ fn fnv1a(bytes: &[u8]) -> u64 {
 // Writing
 // ---------------------------------------------------------------------------
 
-/// Serializes a database to the current archive byte format (v3: columns at
-/// 8-byte-aligned offsets, plus the optimizer-statistics block).
+/// Serializes a database to the archive byte format.
 pub fn to_bytes(data: &TpchData) -> Result<Vec<u8>, ArchiveError> {
-    serialize(data, VERSION)
-}
-
-/// Serializes to the legacy v1 format (no statistics block) — kept so
-/// compatibility tests can mint genuine old archives, and as an escape
-/// hatch for tooling that still speaks v1.
-pub fn to_bytes_v1(data: &TpchData) -> Result<Vec<u8>, ArchiveError> {
-    serialize(data, 1)
-}
-
-/// Serializes to the legacy v2 format (statistics block but unaligned
-/// payloads) — same role as [`to_bytes_v1`] for the v2 generation.
-pub fn to_bytes_v2(data: &TpchData) -> Result<Vec<u8>, ArchiveError> {
-    serialize(data, 2)
-}
-
-fn serialize(data: &TpchData, version: u32) -> Result<Vec<u8>, ArchiveError> {
     let mut out = Vec::new();
     out.extend_from_slice(&MAGIC);
-    out.extend_from_slice(&version.to_le_bytes());
+    out.extend_from_slice(&VERSION.to_le_bytes());
     out.extend_from_slice(&data.scale_factor.to_le_bytes());
     out.extend_from_slice(&(TABLES.len() as u32).to_le_bytes());
     // TABLES order keeps the bytes deterministic for a given database.
@@ -158,40 +148,33 @@ fn serialize(data: &TpchData, version: u32) -> Result<Vec<u8>, ArchiveError> {
         let table = data.table(name);
         out.extend_from_slice(&(name.len() as u16).to_le_bytes());
         out.extend_from_slice(name.as_bytes());
-        out.extend_from_slice(&(table.len() as u64).to_le_bytes());
+        out.extend_from_slice(&(table.len as u64).to_le_bytes());
         out.extend_from_slice(&(table.schema.len() as u32).to_le_bytes());
         for c in 0..table.schema.len() {
-            let (tag, payload) = encode_column(name, table, c, version)?;
+            let (tag, payload) = encode_column(name, table, c)?;
             out.push(tag);
             out.extend_from_slice(&(payload.len() as u64).to_le_bytes());
-            if version >= 3 {
-                // Zero-pad so every payload starts on an 8-byte file offset
-                // (the pad length is a pure function of the cursor position,
-                // so the reader re-derives it without a stored length; it
-                // verifies the pad bytes are zero for determinism).
-                while out.len() % 8 != 0 {
-                    out.push(0);
-                }
+            // Zero-pad so every payload starts on an 8-byte file offset (the
+            // pad length is a pure function of the cursor position, so the
+            // reader re-derives it without a stored length; it verifies the
+            // pad bytes are zero for determinism).
+            while out.len() % 8 != 0 {
+                out.push(0);
             }
             let sum = fnv1a(&payload);
             out.extend_from_slice(&payload);
             out.extend_from_slice(&sum.to_le_bytes());
         }
     }
-    if version >= 2 {
-        for &name in &TABLES {
-            let stats = match data.catalog.stats(name) {
-                Some(s) => s.clone(),
-                // The archive always carries statistics; collect on the
-                // spot if this database was assembled without them.
-                None => TableStatistics::collect(data.table(name)),
-            };
-            let payload = encode_stats(&stats);
-            out.extend_from_slice(&(payload.len() as u64).to_le_bytes());
-            let sum = fnv1a(&payload);
-            out.extend_from_slice(&payload);
-            out.extend_from_slice(&sum.to_le_bytes());
-        }
+    for &name in &TABLES {
+        let stats = data.catalog.stats(name).ok_or_else(|| {
+            ArchiveError::Unsupported(format!("`{name}` carries no optimizer statistics"))
+        })?;
+        let payload = encode_stats(stats);
+        out.extend_from_slice(&(payload.len() as u64).to_le_bytes());
+        let sum = fnv1a(&payload);
+        out.extend_from_slice(&payload);
+        out.extend_from_slice(&sum.to_le_bytes());
     }
     Ok(out)
 }
@@ -270,92 +253,46 @@ pub fn write(data: &TpchData, path: &Path) -> Result<(), ArchiveError> {
     Ok(std::fs::write(path, to_bytes(data)?)?)
 }
 
-fn encode_column(
-    name: &str,
-    table: &RowTable,
-    c: usize,
-    version: u32,
-) -> Result<(u8, Vec<u8>), ArchiveError> {
-    let col = || format!("{name}.{}", table.schema.fields[c].name);
-    let mismatch = |v: &Value| {
-        ArchiveError::Unsupported(format!("{} holds {v:?}, not a {}", col(), table.schema.ty(c)))
-    };
-    match table.schema.ty(c) {
-        Type::Int => {
-            let mut vals = Vec::with_capacity(table.len());
-            for row in &table.rows {
-                match &row[c] {
-                    Value::Int(v) => vals.push(*v),
-                    other => return Err(mismatch(other)),
-                }
-            }
-            Ok(pack_or_raw(version, &vals, 8, TAG_I64_PACKED, TAG_I64_RAW, || {
-                let mut payload = Vec::with_capacity(vals.len() * 8);
-                for v in &vals {
-                    payload.extend_from_slice(&v.to_le_bytes());
-                }
-                payload
+fn encode_column(name: &str, table: &ColumnTable, c: usize) -> Result<(u8, Vec<u8>), ArchiveError> {
+    let ty = table.schema.ty(c);
+    match (ty, table.column(c)) {
+        (Type::Int, Column::I64(vals)) => {
+            Ok(pack_or_raw(vals, 8, TAG_I64_PACKED, TAG_I64_RAW, || {
+                vals.iter().flat_map(|v| v.to_le_bytes()).collect()
             }))
         }
-        Type::Date => {
-            let mut vals = Vec::with_capacity(table.len());
-            for row in &table.rows {
-                match &row[c] {
-                    Value::Date(d) => vals.push(d.0 as i64),
-                    other => return Err(mismatch(other)),
-                }
-            }
-            Ok(pack_or_raw(version, &vals, 4, TAG_DATE_PACKED, TAG_DATE_RAW, || {
-                let mut payload = Vec::with_capacity(vals.len() * 4);
-                for v in &vals {
-                    payload.extend_from_slice(&(*v as i32).to_le_bytes());
-                }
-                payload
+        (Type::Date, Column::Date(days)) => {
+            let vals: Vec<i64> = days.iter().map(|&d| d as i64).collect();
+            Ok(pack_or_raw(&vals, 4, TAG_DATE_PACKED, TAG_DATE_RAW, || {
+                days.iter().flat_map(|d| d.to_le_bytes()).collect()
             }))
         }
-        Type::Float => {
-            let mut payload = Vec::with_capacity(table.len() * 8);
-            for row in &table.rows {
-                match &row[c] {
-                    Value::Float(v) => payload.extend_from_slice(&v.to_bits().to_le_bytes()),
-                    other => return Err(mismatch(other)),
-                }
-            }
-            Ok((TAG_F64, payload))
+        (Type::Float, Column::F64(vals)) => {
+            Ok((TAG_F64, vals.iter().flat_map(|v| v.to_bits().to_le_bytes()).collect()))
         }
-        Type::Str => {
+        (Type::Str, Column::Str(vals)) => {
             let mut payload = Vec::new();
-            for row in &table.rows {
-                match &row[c] {
-                    Value::Str(s) => {
-                        payload.extend_from_slice(&(s.len() as u32).to_le_bytes());
-                        payload.extend_from_slice(s.as_bytes());
-                    }
-                    other => return Err(mismatch(other)),
-                }
+            for s in vals.iter() {
+                payload.extend_from_slice(&(s.len() as u32).to_le_bytes());
+                payload.extend_from_slice(s.as_bytes());
             }
             Ok((TAG_STR, payload))
         }
-        Type::Bool => {
-            let mut payload = Vec::with_capacity(table.len());
-            for row in &table.rows {
-                match &row[c] {
-                    Value::Bool(b) => payload.push(*b as u8),
-                    other => return Err(mismatch(other)),
-                }
-            }
-            Ok((TAG_BOOL, payload))
-        }
+        (Type::Bool, Column::Bool(vals)) => Ok((TAG_BOOL, vals.iter().map(|&b| b as u8).collect())),
+        (_, col) => Err(ArchiveError::Unsupported(format!(
+            "{name}.{} is a {} column, not a plain {ty}",
+            table.schema.fields[c].name,
+            col.kind_name()
+        ))),
     }
 }
 
 /// Packs `vals` frame-of-reference when that beats `raw_width` bytes per
-/// value; otherwise calls `raw` for the plain payload. v3 pads the 17-byte
-/// packed header (`base i64 | max i64 | width u8`) with 7 zero bytes so the
-/// words land on an 8-byte file offset relative to the (aligned) payload
-/// start — the property [`read_mapped`] needs to borrow them in place.
+/// value; otherwise calls `raw` for the plain payload. The header is padded
+/// to [`PACKED_HEADER`] bytes so the words land on an 8-byte file offset
+/// relative to the (aligned) payload start — the property [`read_mapped`]
+/// needs to borrow them in place.
 fn pack_or_raw(
-    version: u32,
     vals: &[i64],
     raw_width: usize,
     packed_tag: u8,
@@ -363,15 +300,12 @@ fn pack_or_raw(
     raw: impl FnOnce() -> Vec<u8>,
 ) -> (u8, Vec<u8>) {
     let p = PackedInts::from_values(vals);
-    let header = if version >= 3 { 24 } else { 17 };
-    if !vals.is_empty() && header + p.words().len() * 8 < vals.len() * raw_width {
-        let mut payload = Vec::with_capacity(header + p.words().len() * 8);
+    if !vals.is_empty() && PACKED_HEADER + p.words().len() * 8 < vals.len() * raw_width {
+        let mut payload = Vec::with_capacity(PACKED_HEADER + p.words().len() * 8);
         payload.extend_from_slice(&p.base().to_le_bytes());
         payload.extend_from_slice(&p.max().to_le_bytes());
         payload.push(p.width());
-        if version >= 3 {
-            payload.extend_from_slice(&[0u8; 7]);
-        }
+        payload.resize(PACKED_HEADER, 0);
         for w in p.words() {
             payload.extend_from_slice(&w.to_le_bytes());
         }
@@ -425,28 +359,35 @@ impl<'a> Cursor<'a> {
     fn f64(&mut self) -> Result<f64, ArchiveError> {
         Ok(f64::from_le_bytes(self.take(8)?.try_into().unwrap()))
     }
+
+    /// The next `count` fixed-width little-endian fields, as byte arrays.
+    fn fixed<const N: usize>(
+        &mut self,
+        count: usize,
+    ) -> Result<impl Iterator<Item = [u8; N]> + 'a, ArchiveError> {
+        let bytes = self.take(count.checked_mul(N).ok_or(ArchiveError::Truncated)?)?;
+        Ok(bytes.chunks_exact(N).map(|b| b.try_into().unwrap()))
+    }
 }
 
 /// Reads an archive file back into a database with a single `fs::read`.
-/// A v2+ archive serves the statistics it carries (histograms and sketches
-/// included); a v1 archive re-collects them on load — either way the
-/// catalog matches a freshly generated database bit for bit.
+/// The catalog serves the statistics the archive carries (histograms and
+/// sketches included), matching a freshly generated database bit for bit.
 pub fn read(path: &Path) -> Result<TpchData, ArchiveError> {
     from_bytes(&std::fs::read(path)?)
 }
 
-/// Reads an archive by `mmap`ing it read-only: the packed words of a v3
-/// archive's bit-packed columns are *borrowed* from the page cache instead
-/// of copied — [`TpchData::mapped_packed`] serves them to the engine, which
+/// Reads an archive by `mmap`ing it read-only: the packed words of the
+/// bit-packed columns are *borrowed* from the page cache instead of copied
+/// — [`TpchData::mapped_packed`] serves them to the engine, which
 /// substitutes them for its own re-encode, so a mapped load and a plain
-/// [`read`] produce bit-identical query results.
+/// [`read`] produce bit-identical base columns and query results.
 ///
-/// Fallback discipline (DESIGN.md §3e): any mapping failure — filesystem
+/// Fallback discipline (DESIGN.md §3e): a mapping failure — filesystem
 /// without mmap, exotic platform, empty file — silently degrades to the
-/// read+decode path, and v1/v2 archives parse exactly as under [`read`]
-/// (no mapped columns, nothing borrowed). Corruption in a v3 archive —
-/// truncated words, a misaligned payload, nonzero alignment padding — is a
-/// typed [`ArchiveError`], never a panic or an unaligned access.
+/// read+decode path. Corruption — truncated words, a misaligned payload,
+/// nonzero alignment padding — is a typed [`ArchiveError`], never a panic
+/// or an unaligned access.
 pub fn read_mapped(path: &Path) -> Result<TpchData, ArchiveError> {
     match Mapping::map_file(path) {
         Ok(map) => {
@@ -462,22 +403,93 @@ pub fn from_bytes(bytes: &[u8]) -> Result<TpchData, ArchiveError> {
     from_bytes_impl(bytes, None)
 }
 
-/// The shared parser. When `mapping` is present (and the archive is v3),
-/// every bit-packed column additionally yields a zero-copy [`PackedInts`]
-/// borrowing its words from the mapping at their 8-byte-aligned file
-/// offset; the row values are still decoded eagerly so the row-oriented
-/// loader pipeline is unchanged.
-fn from_bytes_impl(bytes: &[u8], mapping: Option<&Arc<Mapping>>) -> Result<TpchData, ArchiveError> {
-    let mut cur = Cursor { bytes, pos: 0 };
+/// Reads the file header up to the table count, rejecting a bad magic or any
+/// version but [`VERSION`].
+fn read_header(cur: &mut Cursor<'_>) -> Result<(f64, usize), ArchiveError> {
     if cur.take(4)? != MAGIC {
         return Err(ArchiveError::BadMagic);
     }
     let version = cur.u32()?;
-    if !(MIN_VERSION..=VERSION).contains(&version) {
+    if version != VERSION {
         return Err(ArchiveError::BadVersion(version));
     }
     let scale_factor = cur.f64()?;
-    let table_count = cur.u32()? as usize;
+    Ok((scale_factor, cur.u32()? as usize))
+}
+
+/// Reads a table record's name and declared row count.
+fn read_table_header(cur: &mut Cursor<'_>) -> Result<(String, u64), ArchiveError> {
+    let name_len = cur.u16()? as usize;
+    let name = std::str::from_utf8(cur.take(name_len)?)
+        .map_err(|_| ArchiveError::Corrupt("non-UTF-8 table name".into()))?
+        .to_string();
+    if !TABLES.contains(&name.as_str()) {
+        return Err(ArchiveError::SchemaMismatch(format!("unknown table `{name}`")));
+    }
+    Ok((name, cur.u64()?))
+}
+
+/// One column record whose pad and checksum verified; the payload is not
+/// parsed yet.
+struct RawColumn<'a> {
+    tag: u8,
+    /// Byte offset of the payload in the file (8-byte aligned).
+    offset: usize,
+    payload: &'a [u8],
+}
+
+/// Reads column `c`'s record: tag, length, alignment pad (checked zero —
+/// the checksum covers only the payload), payload, and checksum (verified
+/// before anything parses the payload).
+fn read_raw_column<'a>(
+    cur: &mut Cursor<'a>,
+    name: &str,
+    c: usize,
+) -> Result<RawColumn<'a>, ArchiveError> {
+    let tag = cur.u8()?;
+    let payload_len = cur.u64()? as usize;
+    let pad = (8 - cur.pos % 8) % 8;
+    if cur.take(pad)?.iter().any(|&b| b != 0) {
+        return Err(ArchiveError::Corrupt(format!(
+            "nonzero alignment pad before `{name}` column {c}"
+        )));
+    }
+    let offset = cur.pos;
+    let payload = cur.take(payload_len)?;
+    if fnv1a(payload) != cur.u64()? {
+        return Err(ArchiveError::Corrupt(format!("checksum mismatch in `{name}` column {c}")));
+    }
+    Ok(RawColumn { tag, offset, payload })
+}
+
+/// The most rows a column payload can hold: raw payloads fix their bytes
+/// per row, a string needs at least its 4-byte length, and a packed payload
+/// of width `w` holds at most `64 / w` values per word. A width-0 packed
+/// payload (and an unknown tag, which decoding rejects) bounds nothing.
+fn max_rows(raw: &RawColumn<'_>) -> Option<usize> {
+    let len = raw.payload.len();
+    match raw.tag {
+        TAG_I64_RAW | TAG_F64 => Some(len / 8),
+        TAG_DATE_RAW | TAG_STR => Some(len / 4),
+        TAG_BOOL => Some(len),
+        TAG_I64_PACKED | TAG_DATE_PACKED => match raw.payload.get(16) {
+            None => Some(0),
+            Some(0) => None,
+            Some(&w) => {
+                Some((len.saturating_sub(PACKED_HEADER) / 8).saturating_mul(64) / w as usize)
+            }
+        },
+        _ => None,
+    }
+}
+
+/// The shared parser. When `mapping` is present, every bit-packed column
+/// additionally yields a zero-copy [`PackedInts`] borrowing its words from
+/// the mapping at their 8-byte-aligned file offset; the values are still
+/// decoded into the plain base column.
+fn from_bytes_impl(bytes: &[u8], mapping: Option<&Arc<Mapping>>) -> Result<TpchData, ArchiveError> {
+    let mut cur = Cursor { bytes, pos: 0 };
+    let (scale_factor, table_count) = read_header(&mut cur)?;
     if table_count != TABLES.len() {
         return Err(ArchiveError::SchemaMismatch(format!(
             "{table_count} tables, expected {}",
@@ -488,14 +500,7 @@ fn from_bytes_impl(bytes: &[u8], mapping: Option<&Arc<Mapping>>) -> Result<TpchD
     let mut tables = HashMap::new();
     let mut mapped: HashMap<(String, usize), Arc<PackedInts>> = HashMap::new();
     for _ in 0..table_count {
-        let name_len = cur.u16()? as usize;
-        let name = std::str::from_utf8(cur.take(name_len)?)
-            .map_err(|_| ArchiveError::Corrupt("non-UTF-8 table name".into()))?
-            .to_string();
-        if !TABLES.contains(&name.as_str()) {
-            return Err(ArchiveError::SchemaMismatch(format!("unknown table `{name}`")));
-        }
-        let rows = cur.u64()? as usize;
+        let (name, declared_rows) = read_table_header(&mut cur)?;
         let schema = cat.table(&name).schema.clone();
         let col_count = cur.u32()? as usize;
         if col_count != schema.len() {
@@ -504,154 +509,117 @@ fn from_bytes_impl(bytes: &[u8], mapping: Option<&Arc<Mapping>>) -> Result<TpchD
                 schema.len()
             )));
         }
-        let mut columns: Vec<Vec<Value>> = Vec::with_capacity(col_count);
-        for c in 0..col_count {
-            let tag = cur.u8()?;
-            let payload_len = cur.u64()? as usize;
-            if version >= 3 {
-                // Deterministic zero pad up to the next 8-byte file offset.
-                // The checksum covers only the payload, so the reader pins
-                // the pad bytes itself: a nonzero pad is corruption.
-                let pad = (8 - cur.pos % 8) % 8;
-                if cur.take(pad)?.iter().any(|&b| b != 0) {
-                    return Err(ArchiveError::Corrupt(format!(
-                        "nonzero alignment pad before `{name}` column {c}"
-                    )));
-                }
-            }
-            let payload_off = cur.pos;
-            let payload = cur.take(payload_len)?;
-            let sum = cur.u64()?;
-            if fnv1a(payload) != sum {
+        let raw = (0..col_count)
+            .map(|c| read_raw_column(&mut cur, &name, c))
+            .collect::<Result<Vec<_>, _>>()?;
+        // The row count sits outside every checksum: bound it by what the
+        // verified payloads can hold before anything is sized by it.
+        let rows = match raw.iter().filter_map(max_rows).min() {
+            Some(bound) if declared_rows <= bound as u64 => declared_rows as usize,
+            _ => {
                 return Err(ArchiveError::Corrupt(format!(
-                    "checksum mismatch in `{name}` column {c}"
-                )));
+                    "`{name}` declares {declared_rows} rows, more than its column payloads hold"
+                )))
             }
-            let src = PackedSrc {
-                version,
-                map: if version >= 3 { mapping.map(|m| (m, payload_off)) } else { None },
-            };
-            let (vals, mp) = decode_column(&name, c, schema.ty(c), tag, payload, rows, src)?;
+        };
+        let mut columns = Vec::with_capacity(col_count);
+        for (c, col) in raw.iter().enumerate() {
+            let map = mapping.map(|m| (m, col.offset));
+            let (column, mp) = decode_column(&name, c, schema.ty(c), col, rows, map)?;
             if let Some(mp) = mp {
                 mapped.insert((name.clone(), c), mp);
             }
-            columns.push(vals);
+            columns.push(column);
         }
-        let mut table = RowTable::with_capacity(schema, rows);
-        for r in 0..rows {
-            table.push(columns.iter().map(|col| col[r].clone()).collect());
-        }
-        tables.insert(name, table);
+        tables.insert(name, ColumnTable { schema, len: rows, columns });
     }
-    if version >= 2 {
-        // v2: the statistics travelled with the data — decode, validate,
-        // and serve them without a collection pass.
-        for &name in &TABLES {
-            let payload_len = cur.u64()? as usize;
-            let payload = cur.take(payload_len)?;
-            let sum = cur.u64()?;
-            if fnv1a(payload) != sum {
-                return Err(ArchiveError::Corrupt(format!(
-                    "checksum mismatch in `{name}` statistics block"
-                )));
-            }
-            let table = tables.get(name).ok_or_else(|| {
-                ArchiveError::SchemaMismatch(format!("table `{name}` missing from archive"))
-            })?;
-            let stats = decode_stats(name, payload, table.len(), table.schema.len())?;
-            cat.set_stats(name, stats);
-        }
+    // The statistics travelled with the data — decode, validate, and serve
+    // them without a collection pass.
+    for &name in &TABLES {
+        let payload = read_stats_block(&mut cur, name)?;
+        let table = tables.get(name).ok_or_else(|| {
+            ArchiveError::SchemaMismatch(format!("table `{name}` missing from archive"))
+        })?;
+        let stats = decode_stats(name, payload, table.len, table.schema.len())?;
+        cat.set_stats(name, stats);
     }
     if cur.pos != bytes.len() {
         return Err(ArchiveError::Corrupt("trailing bytes after last table".into()));
     }
-    if version < 2 {
-        // v1 archives carry no statistics: re-collect, so the catalog
-        // matches a freshly generated database bit for bit.
-        for (name, table) in &tables {
-            cat.set_stats(name, TableStatistics::collect(table));
-        }
+    Ok(TpchData::from_parts(cat, scale_factor, tables, mapped))
+}
+
+/// Reads one statistics block and verifies its checksum.
+fn read_stats_block<'a>(cur: &mut Cursor<'a>, name: &str) -> Result<&'a [u8], ArchiveError> {
+    let payload_len = cur.u64()? as usize;
+    let payload = cur.take(payload_len)?;
+    if fnv1a(payload) != cur.u64()? {
+        return Err(ArchiveError::Corrupt(format!(
+            "checksum mismatch in `{name}` statistics block"
+        )));
     }
-    Ok(TpchData::from_parts(cat, scale_factor, tables).with_mapped(mapped))
+    Ok(payload)
 }
 
-/// Where a packed payload may be served from: the archive version (header
-/// layout) plus, for v3, the file mapping and the column payload's byte
-/// offset inside it (so the words can be borrowed zero-copy).
-#[derive(Clone, Copy)]
-struct PackedSrc<'a> {
-    version: u32,
-    map: Option<(&'a Arc<Mapping>, usize)>,
-}
-
+/// Decodes one verified payload straight into its typed base column. With a
+/// mapping (and the payload's file offset), a packed payload also yields the
+/// zero-copy [`PackedInts`] over its words.
 fn decode_column(
     name: &str,
     c: usize,
     ty: Type,
-    tag: u8,
-    payload: &[u8],
+    raw: &RawColumn<'_>,
     rows: usize,
-    src: PackedSrc<'_>,
-) -> Result<(Vec<Value>, Option<Arc<PackedInts>>), ArchiveError> {
+    map: Option<(&Arc<Mapping>, usize)>,
+) -> Result<(Column, Option<Arc<PackedInts>>), ArchiveError> {
     let corrupt = |m: &str| ArchiveError::Corrupt(format!("`{name}` column {c}: {m}"));
-    let wrong_tag = || corrupt(&format!("tag {tag} does not store a {ty} column"));
-    let mut cur = Cursor { bytes: payload, pos: 0 };
+    let mut cur = Cursor { bytes: raw.payload, pos: 0 };
     let mut mapped = None;
-    let mut out = Vec::with_capacity(rows);
-    match (ty, tag) {
+    let column = match (ty, raw.tag) {
         (Type::Int, TAG_I64_RAW) => {
-            for _ in 0..rows {
-                out.push(Value::Int(cur.i64()?));
-            }
+            Column::I64(Arc::new(cur.fixed::<8>(rows)?.map(i64::from_le_bytes).collect()))
         }
-        (Type::Int, TAG_I64_PACKED) => {
-            let (mp, vals) = read_packed(&mut cur, rows, src, &corrupt)?;
-            mapped = mp;
-            for v in vals {
-                out.push(Value::Int(v));
-            }
+        (Type::Int, TAG_I64_PACKED) | (Type::Date, TAG_DATE_PACKED) => {
+            let p = read_packed(&mut cur, rows, map, &corrupt)?;
+            let column = if ty == Type::Int {
+                Column::I64(Arc::new(unpack_checked(&p, &corrupt, Ok)?))
+            } else {
+                Column::Date(Arc::new(unpack_checked(&p, &corrupt, |v| {
+                    i32::try_from(v).map_err(|_| corrupt("day count out of i32 range"))
+                })?))
+            };
+            mapped = map.is_some().then(|| Arc::new(p));
+            column
         }
         (Type::Date, TAG_DATE_RAW) => {
-            for _ in 0..rows {
-                out.push(Value::Date(Date(cur.u32()? as i32)));
-            }
-        }
-        (Type::Date, TAG_DATE_PACKED) => {
-            let (mp, vals) = read_packed(&mut cur, rows, src, &corrupt)?;
-            mapped = mp;
-            for v in vals {
-                let d = i32::try_from(v).map_err(|_| corrupt("day count out of i32 range"))?;
-                out.push(Value::Date(Date(d)));
-            }
+            Column::Date(Arc::new(cur.fixed::<4>(rows)?.map(i32::from_le_bytes).collect()))
         }
         (Type::Float, TAG_F64) => {
-            for _ in 0..rows {
-                out.push(Value::Float(cur.f64()?));
-            }
+            Column::F64(Arc::new(cur.fixed::<8>(rows)?.map(f64::from_le_bytes).collect()))
         }
         (Type::Str, TAG_STR) => {
+            let mut out = Vec::with_capacity(rows);
             for _ in 0..rows {
                 let len = cur.u32()? as usize;
                 let s =
                     std::str::from_utf8(cur.take(len)?).map_err(|_| corrupt("non-UTF-8 string"))?;
-                out.push(Value::Str(s.to_string()));
+                out.push(s.to_string());
             }
+            Column::Str(Arc::new(out))
         }
         (Type::Bool, TAG_BOOL) => {
-            for _ in 0..rows {
-                match cur.u8()? {
-                    0 => out.push(Value::Bool(false)),
-                    1 => out.push(Value::Bool(true)),
-                    b => return Err(corrupt(&format!("byte {b} is not a boolean"))),
-                }
+            let flags = cur.take(rows)?;
+            if let Some(b) = flags.iter().find(|&&b| b > 1) {
+                return Err(corrupt(&format!("byte {b} is not a boolean")));
             }
+            Column::Bool(Arc::new(flags.iter().map(|&b| b == 1).collect()))
         }
-        _ => return Err(wrong_tag()),
-    }
-    if cur.pos != payload.len() {
+        _ => return Err(corrupt(&format!("tag {} does not store a {ty} column", raw.tag))),
+    };
+    if cur.pos != raw.payload.len() {
         return Err(corrupt("payload longer than its row count"));
     }
-    Ok((out, mapped))
+    Ok((column, mapped))
 }
 
 fn decode_value(
@@ -708,20 +676,14 @@ fn decode_stats(
                 if n_bounds < 2 {
                     return Err(col_corrupt("histogram needs at least two bounds"));
                 }
-                let mut bounds = Vec::with_capacity(n_bounds);
-                for _ in 0..n_bounds {
-                    bounds.push(cur.f64()?);
-                }
+                let bounds: Vec<f64> = cur.fixed::<8>(n_bounds)?.map(f64::from_le_bytes).collect();
                 if bounds.iter().any(|b| !b.is_finite()) {
                     return Err(col_corrupt("non-finite histogram bound"));
                 }
                 if bounds.windows(2).any(|w| w[0] > w[1]) {
                     return Err(col_corrupt("histogram bounds unsorted"));
                 }
-                let mut counts = Vec::with_capacity(n_bounds - 1);
-                for _ in 0..n_bounds - 1 {
-                    counts.push(cur.u64()?);
-                }
+                let counts = cur.fixed::<8>(n_bounds - 1)?.map(u64::from_le_bytes).collect();
                 Some(Histogram { bounds, counts })
             }
             t => return Err(col_corrupt(&format!("bad histogram marker {t}"))),
@@ -748,55 +710,61 @@ fn decode_stats(
 
 /// Reads a frame-of-reference payload, re-validating the header through
 /// [`PackedInts::from_parts`] (which rejects tampered widths and word
-/// counts) before decoding. On a v3 payload with a live mapping, also
-/// constructs the zero-copy [`PackedInts`] whose words live at
-/// `payload_off + 24` in the mapped file — [`PackedInts::from_parts_mapped`]
-/// re-checks bounds and 8-byte alignment, so a file that lies about its
-/// layout is a typed corruption, not undefined behavior.
+/// counts). With a mapping, the packed column borrows its words at
+/// `payload_off + 24` in the mapped file instead of copying them —
+/// [`PackedInts::from_parts_mapped`] re-checks bounds and 8-byte alignment,
+/// so a file that lies about its layout is a typed corruption, not undefined
+/// behavior.
 fn read_packed(
     cur: &mut Cursor<'_>,
     rows: usize,
-    src: PackedSrc<'_>,
+    map: Option<(&Arc<Mapping>, usize)>,
     corrupt: &impl Fn(&str) -> ArchiveError,
-) -> Result<(Option<Arc<PackedInts>>, Vec<i64>), ArchiveError> {
+) -> Result<PackedInts, ArchiveError> {
     let base = cur.i64()?;
     let max = cur.i64()?;
     let width = cur.u8()?;
-    if src.version >= 3 {
-        // 7 zero bytes pad the 17-byte header to 24 so the words that
-        // follow stay 8-byte aligned relative to the aligned payload start.
-        if cur.take(7)?.iter().any(|&b| b != 0) {
-            return Err(corrupt("nonzero pad in packed header"));
+    if cur.take(PACKED_HEADER - 17)?.iter().any(|&b| b != 0) {
+        return Err(corrupt("nonzero pad in packed header"));
+    }
+    let words = cur.fixed::<8>(PackedInts::words_for(rows, width))?;
+    match map {
+        Some((m, payload_off)) => {
+            let words_off = payload_off + PACKED_HEADER;
+            PackedInts::from_parts_mapped(base, max, width, rows, Arc::clone(m), words_off)
+                .ok_or_else(|| corrupt("invalid frame-of-reference header or misaligned words"))
+        }
+        None => {
+            let words = words.map(u64::from_le_bytes).collect();
+            PackedInts::from_parts(base, max, width, rows, words)
+                .ok_or_else(|| corrupt("invalid frame-of-reference header"))
         }
     }
-    let words_pos = cur.pos;
-    let n_words = PackedInts::words_for(rows, width);
-    let mut words = Vec::with_capacity(n_words);
-    for _ in 0..n_words {
-        words.push(cur.u64()?);
+}
+
+/// Decodes a packed column into its plain vector through `convert`, a block
+/// at a time (no whole-column temporary), validating every value against
+/// the declared maximum.
+fn unpack_checked<T>(
+    p: &PackedInts,
+    corrupt: &impl Fn(&str) -> ArchiveError,
+    convert: impl Fn(i64) -> Result<T, ArchiveError>,
+) -> Result<Vec<T>, ArchiveError> {
+    let mut out = Vec::with_capacity(p.len());
+    let mut block = [0i64; 1024];
+    let mut start = 0;
+    while start < p.len() {
+        let block = &mut block[..(p.len() - start).min(1024)];
+        p.unpack_range(start, block);
+        for &v in block.iter() {
+            if v > p.max() {
+                return Err(corrupt("packed value above declared maximum"));
+            }
+            out.push(convert(v)?);
+        }
+        start += block.len();
     }
-    let p = PackedInts::from_parts(base, max, width, rows, words)
-        .ok_or_else(|| corrupt("invalid frame-of-reference header"))?;
-    // Decode eagerly, validating every value against the declared maximum.
-    let vals: Vec<i64> = p.iter().collect();
-    if vals.iter().any(|&v| v > p.max()) {
-        return Err(corrupt("packed value above declared maximum"));
-    }
-    let mapped = match src.map {
-        Some((m, payload_off)) => Some(Arc::new(
-            PackedInts::from_parts_mapped(
-                base,
-                max,
-                width,
-                rows,
-                Arc::clone(m),
-                payload_off + words_pos,
-            )
-            .ok_or_else(|| corrupt("packed words misaligned or out of mapped bounds"))?,
-        )),
-        None => None,
-    };
-    Ok((mapped, vals))
+    Ok(out)
 }
 
 // ---------------------------------------------------------------------------
@@ -814,8 +782,8 @@ pub struct ColumnInfo {
     pub bit_width: Option<u8>,
     /// Bytes the column's payload occupies in the file.
     pub payload_bytes: usize,
-    /// Bytes a v3 mapped load serves zero-copy from the page cache (the
-    /// packed words); 0 for raw columns and for v1/v2 archives.
+    /// Bytes a mapped load serves zero-copy from the page cache (the packed
+    /// words); 0 for raw columns.
     pub mappable_bytes: usize,
 }
 
@@ -833,7 +801,7 @@ pub struct TableInfo {
 /// Archive-level metadata reported by [`inspect`].
 #[derive(Debug, Clone, PartialEq)]
 pub struct ArchiveInfo {
-    /// Format version (1–3).
+    /// Format version (always [`VERSION`]).
     pub version: u32,
     /// TPC-H scale factor the archive was generated at.
     pub scale_factor: f64,
@@ -869,60 +837,28 @@ pub fn inspect(path: &Path) -> Result<ArchiveInfo, ArchiveError> {
 /// [`inspect`] over in-memory bytes.
 pub fn inspect_bytes(bytes: &[u8]) -> Result<ArchiveInfo, ArchiveError> {
     let mut cur = Cursor { bytes, pos: 0 };
-    if cur.take(4)? != MAGIC {
-        return Err(ArchiveError::BadMagic);
-    }
-    let version = cur.u32()?;
-    if !(MIN_VERSION..=VERSION).contains(&version) {
-        return Err(ArchiveError::BadVersion(version));
-    }
-    let scale_factor = cur.f64()?;
-    let table_count = cur.u32()? as usize;
+    let (scale_factor, table_count) = read_header(&mut cur)?;
     let cat = catalog();
-    let mut tables = Vec::with_capacity(table_count);
+    let mut tables = Vec::with_capacity(table_count.min(TABLES.len()));
     for _ in 0..table_count {
-        let name_len = cur.u16()? as usize;
-        let name = std::str::from_utf8(cur.take(name_len)?)
-            .map_err(|_| ArchiveError::Corrupt("non-UTF-8 table name".into()))?
-            .to_string();
-        if !TABLES.contains(&name.as_str()) {
-            return Err(ArchiveError::SchemaMismatch(format!("unknown table `{name}`")));
-        }
-        let rows = cur.u64()? as usize;
+        let (name, rows) = read_table_header(&mut cur)?;
         let schema = cat.table(&name).schema.clone();
         let col_count = cur.u32()? as usize;
-        let mut columns = Vec::with_capacity(col_count);
+        let mut columns = Vec::with_capacity(col_count.min(schema.len()));
         for c in 0..col_count {
-            let tag = cur.u8()?;
-            let payload_len = cur.u64()? as usize;
-            if version >= 3 {
-                let pad = (8 - cur.pos % 8) % 8;
-                if cur.take(pad)?.iter().any(|&b| b != 0) {
-                    return Err(ArchiveError::Corrupt(format!(
-                        "nonzero alignment pad before `{name}` column {c}"
-                    )));
-                }
-            }
-            let payload = cur.take(payload_len)?;
-            let sum = cur.u64()?;
-            if fnv1a(payload) != sum {
-                return Err(ArchiveError::Corrupt(format!(
-                    "checksum mismatch in `{name}` column {c}"
-                )));
-            }
-            let packed = tag == TAG_I64_PACKED || tag == TAG_DATE_PACKED;
-            let header = if version >= 3 { 24 } else { 17 };
+            let raw = read_raw_column(&mut cur, &name, c)?;
+            let packed = raw.tag == TAG_I64_PACKED || raw.tag == TAG_DATE_PACKED;
             let bit_width = if packed {
-                if payload.len() < header {
+                if raw.payload.len() < PACKED_HEADER {
                     return Err(ArchiveError::Corrupt(format!(
                         "packed payload of `{name}` column {c} shorter than its header"
                     )));
                 }
-                Some(payload[16])
+                Some(raw.payload[16])
             } else {
                 None
             };
-            let encoding = match tag {
+            let encoding = match raw.tag {
                 TAG_I64_RAW => "i64",
                 TAG_I64_PACKED => "i64-packed",
                 TAG_F64 => "f64",
@@ -941,39 +877,32 @@ pub fn inspect_bytes(bytes: &[u8]) -> Result<ArchiveInfo, ArchiveError> {
                 .get(c)
                 .map(|f| f.name.clone())
                 .unwrap_or_else(|| format!("column{c}"));
+            let payload_bytes = raw.payload.len();
             columns.push(ColumnInfo {
                 name: col_name,
                 encoding,
                 bit_width,
-                payload_bytes: payload_len,
-                mappable_bytes: if packed && version >= 3 { payload_len - header } else { 0 },
+                payload_bytes,
+                mappable_bytes: if packed { payload_bytes - PACKED_HEADER } else { 0 },
             });
         }
-        tables.push(TableInfo { name, rows, columns });
+        tables.push(TableInfo { name, rows: rows as usize, columns });
     }
-    // Stats blocks (v2+) are skipped but still checksum-verified, so
-    // `inspect` on a corrupt file fails the same way `read` would.
-    if version >= 2 {
-        for &name in &TABLES {
-            let payload_len = cur.u64()? as usize;
-            let payload = cur.take(payload_len)?;
-            let sum = cur.u64()?;
-            if fnv1a(payload) != sum {
-                return Err(ArchiveError::Corrupt(format!(
-                    "checksum mismatch in `{name}` statistics block"
-                )));
-            }
-        }
+    // Stats blocks are skipped but still checksum-verified, so `inspect` on
+    // a corrupt file fails the same way `read` would.
+    for &name in &TABLES {
+        read_stats_block(&mut cur, name)?;
     }
     if cur.pos != bytes.len() {
         return Err(ArchiveError::Corrupt("trailing bytes after last table".into()));
     }
-    Ok(ArchiveInfo { version, scale_factor, file_bytes: bytes.len(), tables })
+    Ok(ArchiveInfo { version: VERSION, scale_factor, file_bytes: bytes.len(), tables })
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::gen::bit_identical;
 
     fn tiny() -> TpchData {
         TpchData::generate(0.002)
@@ -988,7 +917,7 @@ mod tests {
         for &name in &TABLES {
             let (a, b) = (data.table(name), back.table(name));
             assert_eq!(a.schema, b.schema, "{name} schema");
-            assert_eq!(a.rows, b.rows, "{name} rows");
+            assert!(bit_identical(a, b), "{name} columns");
         }
         // The persisted statistics decode to exactly what the generator
         // attached — histograms and sketches included.
@@ -1054,29 +983,13 @@ mod tests {
         let data = tiny();
         write(&data, &path).expect("write");
         let back = read(&path).expect("read");
-        assert_eq!(back.table("lineitem").rows, data.table("lineitem").rows);
+        assert!(bit_identical(back.table("lineitem"), data.table("lineitem")));
         std::fs::remove_file(&path).ok();
     }
 
-    #[test]
-    fn old_versions_still_load() {
-        let data = tiny();
-        for (v, bytes) in
-            [(1, to_bytes_v1(&data).expect("v1")), (2, to_bytes_v2(&data).expect("v2"))]
-        {
-            let back = from_bytes(&bytes).expect("legacy parse");
-            assert_eq!(back.table("lineitem").rows, data.table("lineitem").rows, "v{v} rows");
-            assert_eq!(back.mapped_bytes(), 0, "legacy archives never map");
-            for &name in &TABLES {
-                assert_eq!(
-                    back.catalog.stats(name),
-                    data.catalog.stats(name),
-                    "v{v} `{name}` statistics survive (v2) or re-collect (v1) identically"
-                );
-            }
-        }
-    }
-
+    /// Base columns from `generate`, `read` and `read_mapped` are the same
+    /// bit for bit, and the borrowed packed words decode to the values the
+    /// eager path materialized.
     #[test]
     fn mapped_load_is_bit_identical() {
         let dir = std::env::temp_dir().join("legobase-archive-mmap-test");
@@ -1086,10 +999,14 @@ mod tests {
         write(&data, &path).expect("write");
         let plain = read(&path).expect("read");
         let mapped = read_mapped(&path).expect("read_mapped");
-        assert!(mapped.mapped_bytes() > 0, "a v3 load should borrow packed words zero-copy");
+        assert!(mapped.mapped_bytes() > 0, "a mapped load should borrow packed words zero-copy");
         assert_eq!(plain.mapped_bytes(), 0, "the plain path owns everything");
         for &name in &TABLES {
-            assert_eq!(plain.table(name).rows, mapped.table(name).rows, "{name} rows");
+            assert!(bit_identical(plain.table(name), mapped.table(name)), "{name} read vs mapped");
+            assert!(
+                bit_identical(data.table(name), mapped.table(name)),
+                "{name} generated vs mapped"
+            );
             assert_eq!(plain.catalog.stats(name), mapped.catalog.stats(name), "{name} stats");
         }
         // The borrowed words decode to exactly the values the eager path
@@ -1099,12 +1016,13 @@ mod tests {
         for c in 0..li.schema.len() {
             if let Some(p) = mapped.mapped_packed("lineitem", c) {
                 assert!(p.is_mapped());
-                for (r, v) in p.iter().enumerate().take(64) {
-                    match &li.rows[r][c] {
-                        Value::Int(i) => assert_eq!(v, *i),
-                        Value::Date(d) => assert_eq!(v, d.0 as i64),
-                        other => panic!("mapped column {c} holds {other:?}"),
+                let decoded: Vec<i64> = p.iter().collect();
+                match li.column(c) {
+                    Column::I64(v) => assert_eq!(&decoded, &**v),
+                    Column::Date(v) => {
+                        assert!(decoded.iter().zip(v.iter()).all(|(&a, &b)| a == b as i64))
                     }
+                    other => panic!("mapped column {c} holds {}", other.kind_name()),
                 }
                 checked += 1;
             }
@@ -1113,17 +1031,50 @@ mod tests {
         std::fs::remove_file(&path).ok();
     }
 
+    /// Byte offset of table `t`'s row count in an archive of `data` (the
+    /// file header is 20 bytes, each table record precedes its columns).
+    fn row_count_offset(bytes: &[u8], t: usize) -> usize {
+        let info = inspect_bytes(bytes).expect("inspect");
+        let mut pos = 20;
+        for table in &info.tables[..t] {
+            pos += 2 + table.name.len() + 12;
+            for c in &table.columns {
+                pos = (pos + 9).next_multiple_of(8) + c.payload_bytes + 8;
+            }
+        }
+        pos + 2 + info.tables[t].name.len()
+    }
+
+    /// The row count sits outside every checksum: a tampered count is a
+    /// typed error before anything is allocated by it, never an abort.
     #[test]
-    fn mapped_read_falls_back_for_legacy_versions() {
-        let dir = std::env::temp_dir().join("legobase-archive-mmap-legacy-test");
-        std::fs::create_dir_all(&dir).expect("temp dir");
-        let path = dir.join("tpch-v1.lbca");
-        let data = tiny();
-        std::fs::write(&path, to_bytes_v1(&data).expect("v1")).expect("write");
-        let back = read_mapped(&path).expect("read_mapped on v1");
-        assert_eq!(back.mapped_bytes(), 0, "v1 payloads are unaligned — nothing borrowed");
-        assert_eq!(back.table("lineitem").rows, data.table("lineitem").rows);
-        std::fs::remove_file(&path).ok();
+    fn tampered_row_count_is_a_typed_error() {
+        let bytes = to_bytes(&TpchData::generate(0.001)).expect("serialize");
+        for (t, count) in [(0, 1u64 << 40), (0, u64::MAX), (7, 1 << 40), (0, 6)] {
+            let pos = row_count_offset(&bytes, t);
+            let mut tampered = bytes.clone();
+            let declared = u64::from_le_bytes(tampered[pos..pos + 8].try_into().unwrap());
+            assert_eq!(declared as usize, inspect_bytes(&bytes).unwrap().tables[t].rows);
+            tampered[pos..pos + 8].copy_from_slice(&count.to_le_bytes());
+            match from_bytes(&tampered) {
+                Err(ArchiveError::Corrupt(_) | ArchiveError::Truncated) => {}
+                Err(e) => panic!("table {t} count {count}: unexpected error {e}"),
+                Ok(_) => panic!("table {t} count {count}: tampered row count parsed cleanly"),
+            }
+        }
+    }
+
+    /// A histogram length is read from the stats block: bound it by the
+    /// payload before allocating, so a huge count is a typed error.
+    #[test]
+    fn huge_histogram_length_is_a_typed_error() {
+        let mut payload = Vec::new();
+        payload.extend_from_slice(&0u64.to_le_bytes()); // rows
+        payload.extend_from_slice(&1u32.to_le_bytes()); // columns
+        payload.extend_from_slice(&0u64.to_le_bytes()); // distinct
+        payload.extend_from_slice(&[VAL_NONE, VAL_NONE, 1]); // min, max, histogram
+        payload.extend_from_slice(&u32::MAX.to_le_bytes()); // bound count
+        assert!(matches!(decode_stats("region", &payload, 0, 1), Err(ArchiveError::Truncated)));
     }
 
     #[test]
@@ -1149,7 +1100,7 @@ mod tests {
         assert_eq!(info.file_bytes, bytes.len());
         assert_eq!(info.tables.len(), TABLES.len());
         let li = info.tables.iter().find(|t| t.name == "lineitem").expect("lineitem");
-        assert_eq!(li.rows, data.table("lineitem").len());
+        assert_eq!(li.rows, data.table("lineitem").len);
         let packed: Vec<_> =
             li.columns.iter().filter(|c| c.encoding.ends_with("-packed")).collect();
         assert!(!packed.is_empty(), "lineitem should hold packed columns");
@@ -1162,10 +1113,6 @@ mod tests {
         let total: usize =
             info.tables.iter().flat_map(|t| &t.columns).map(|c| c.payload_bytes).sum();
         assert_eq!(info.mappable_bytes() + info.resident_bytes(), total);
-        // Legacy archives inspect too, with nothing mappable.
-        let v1 = inspect_bytes(&to_bytes_v1(&data).expect("v1")).expect("inspect v1");
-        assert_eq!(v1.version, 1);
-        assert_eq!(v1.mappable_bytes(), 0);
     }
 
     #[test]

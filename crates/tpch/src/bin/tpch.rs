@@ -61,7 +61,7 @@ fn main() -> ExitCode {
                 t1.elapsed()
             );
             for &name in &TABLES {
-                println!("  {name:<9} {:>9} rows", data.table(name).len());
+                println!("  {name:<9} {:>9} rows", data.table(name).len);
             }
             ExitCode::SUCCESS
         }

@@ -2,7 +2,9 @@
 
 use crate::schema::catalog;
 use crate::text;
-use legobase_storage::{Catalog, Date, PackedInts, RowTable, Value};
+use legobase_storage::{
+    Catalog, Column, ColumnTable, Date, PackedInts, RowTable, TableStatistics, Tuple, Value,
+};
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
 use std::collections::HashMap;
@@ -36,13 +38,17 @@ impl Default for TpchGenerator {
     }
 }
 
-/// The generated database: catalog plus one row table per relation.
+/// The generated database: catalog plus one column table per relation.
+///
+/// The columns are the one stored form of base data: full-width plain
+/// `I64`/`F64`/`Date`/`Str`/`Bool` vectors behind `Arc`, which every
+/// specialized load shares instead of copying.
 pub struct TpchData {
     /// Schema catalog for the generated tables.
     pub catalog: Catalog,
     /// Scale factor the data was generated at.
     pub scale_factor: f64,
-    tables: HashMap<String, RowTable>,
+    tables: HashMap<String, ColumnTable>,
     /// Archive-mapped packed payloads per `(table, column)` (PR 10): when a
     /// v3 archive is loaded through `mmap`, its bit-packed Int/Date columns
     /// are carried here as zero-copy [`PackedInts`] borrowing the page
@@ -64,19 +70,10 @@ impl TpchData {
     pub(crate) fn from_parts(
         catalog: Catalog,
         scale_factor: f64,
-        tables: HashMap<String, RowTable>,
-    ) -> TpchData {
-        TpchData { catalog, scale_factor, tables, mapped: HashMap::new() }
-    }
-
-    /// Attaches archive-mapped packed columns (the `mmap` reader's
-    /// finishing step).
-    pub(crate) fn with_mapped(
-        mut self,
+        tables: HashMap<String, ColumnTable>,
         mapped: HashMap<(String, usize), Arc<PackedInts>>,
     ) -> TpchData {
-        self.mapped = mapped;
-        self
+        TpchData { catalog, scale_factor, tables, mapped }
     }
 
     /// The archive-mapped packed payload for `(table, column)`, when this
@@ -92,19 +89,35 @@ impl TpchData {
     }
 
     /// A generated relation by name (panics if absent).
-    pub fn table(&self, name: &str) -> &RowTable {
+    pub fn table(&self, name: &str) -> &ColumnTable {
         self.tables.get(name).unwrap_or_else(|| panic!("unknown table `{name}`"))
     }
 
     /// All generated relations.
-    pub fn tables(&self) -> impl Iterator<Item = (&str, &RowTable)> {
+    pub fn tables(&self) -> impl Iterator<Item = (&str, &ColumnTable)> {
         self.tables.iter().map(|(k, v)| (k.as_str(), v))
     }
 
-    /// Total approximate footprint of the raw row data in bytes (the "input
-    /// data size" baseline of Fig. 20).
+    /// Approximate footprint of the data in the row layout, in bytes (the
+    /// "input data size" baseline of Fig. 20): one tuple header per row, one
+    /// `Value` slot per cell, plus the string bytes — what
+    /// [`RowTable::approx_bytes`] reports for the same rows, computed from
+    /// the columns without building them.
     pub fn approx_bytes(&self) -> usize {
-        self.tables.values().map(RowTable::approx_bytes).sum()
+        let row = std::mem::size_of::<Tuple>();
+        let cell = std::mem::size_of::<Value>();
+        let table_bytes = |t: &ColumnTable| {
+            let strings: usize = t
+                .columns
+                .iter()
+                .map(|c| match c {
+                    Column::Str(v) => v.iter().map(String::len).sum(),
+                    _ => 0,
+                })
+                .sum();
+            t.len * (row + t.columns.len() * cell) + strings
+        };
+        self.tables.values().map(table_bytes).sum()
     }
 }
 
@@ -138,26 +151,31 @@ impl TpchGenerator {
     }
 
     /// Runs the generator, attaching optimizer statistics — collected in one
-    /// pass per relation — to the catalog (`Catalog::stats`).
+    /// pass per relation — to the catalog (`Catalog::stats`). Each relation
+    /// is generated as rows, converted to columns once, and its rows dropped.
     pub fn generate(&self) -> TpchData {
-        let cat = catalog();
+        let mut cat = catalog();
         let (n_supp, n_part, n_cust, n_orders) = self.counts();
         let mut tables = HashMap::new();
-
-        tables.insert("region".to_string(), self.gen_region(&cat));
-        tables.insert("nation".to_string(), self.gen_nation(&cat));
-        tables.insert("supplier".to_string(), self.gen_supplier(&cat, n_supp));
-        tables.insert("customer".to_string(), self.gen_customer(&cat, n_cust));
-        tables.insert("part".to_string(), self.gen_part(&cat, n_part));
-        tables.insert("partsupp".to_string(), self.gen_partsupp(&cat, n_part, n_supp));
+        let mut store = |cat: &mut Catalog, name: &str, rows: RowTable| {
+            cat.set_stats(name, TableStatistics::collect(&rows));
+            tables.insert(name.to_string(), ColumnTable::from_rows(&rows));
+        };
+        let region = self.gen_region(&cat);
+        store(&mut cat, "region", region);
+        let nation = self.gen_nation(&cat);
+        store(&mut cat, "nation", nation);
+        let supplier = self.gen_supplier(&cat, n_supp);
+        store(&mut cat, "supplier", supplier);
+        let customer = self.gen_customer(&cat, n_cust);
+        store(&mut cat, "customer", customer);
+        let part = self.gen_part(&cat, n_part);
+        store(&mut cat, "part", part);
+        let partsupp = self.gen_partsupp(&cat, n_part, n_supp);
+        store(&mut cat, "partsupp", partsupp);
         let (orders, lineitem) = self.gen_orders_lineitem(&cat, n_orders, n_cust, n_part, n_supp);
-        tables.insert("orders".to_string(), orders);
-        tables.insert("lineitem".to_string(), lineitem);
-
-        let mut cat = cat;
-        for (name, table) in &tables {
-            cat.set_stats(name, legobase_storage::TableStatistics::collect(table));
-        }
+        store(&mut cat, "orders", orders);
+        store(&mut cat, "lineitem", lineitem);
         TpchData { catalog: cat, scale_factor: self.scale_factor, tables, mapped: HashMap::new() }
     }
 
@@ -376,6 +394,24 @@ impl TpchGenerator {
     }
 }
 
+/// True when two base tables hold the same values bit for bit (floats
+/// compared by `to_bits`, so `-0.0` and NaN payloads count).
+#[cfg(test)]
+pub(crate) fn bit_identical(a: &ColumnTable, b: &ColumnTable) -> bool {
+    a.schema == b.schema
+        && a.len == b.len
+        && a.columns.iter().zip(&b.columns).all(|pair| match pair {
+            (Column::I64(x), Column::I64(y)) => x == y,
+            (Column::F64(x), Column::F64(y)) => {
+                x.iter().map(|f| f.to_bits()).eq(y.iter().map(|f| f.to_bits()))
+            }
+            (Column::Date(x), Column::Date(y)) => x == y,
+            (Column::Str(x), Column::Str(y)) => x == y,
+            (Column::Bool(x), Column::Bool(y)) => x == y,
+            _ => false,
+        })
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -388,14 +424,14 @@ mod tests {
     #[test]
     fn row_counts_scale() {
         let d = small();
-        assert_eq!(d.table("region").len(), 5);
-        assert_eq!(d.table("nation").len(), 25);
-        assert_eq!(d.table("supplier").len(), 20);
-        assert_eq!(d.table("customer").len(), 300);
-        assert_eq!(d.table("part").len(), 400);
-        assert_eq!(d.table("partsupp").len(), 1600);
-        assert_eq!(d.table("orders").len(), 3000);
-        let lpo = d.table("lineitem").len() as f64 / d.table("orders").len() as f64;
+        assert_eq!(d.table("region").len, 5);
+        assert_eq!(d.table("nation").len, 25);
+        assert_eq!(d.table("supplier").len, 20);
+        assert_eq!(d.table("customer").len, 300);
+        assert_eq!(d.table("part").len, 400);
+        assert_eq!(d.table("partsupp").len, 1600);
+        assert_eq!(d.table("orders").len, 3000);
+        let lpo = d.table("lineitem").len as f64 / d.table("orders").len as f64;
         assert!((3.0..5.0).contains(&lpo), "≈4 lineitems per order, got {lpo}");
     }
 
@@ -403,9 +439,31 @@ mod tests {
     fn deterministic() {
         let a = TpchGenerator { scale_factor: 0.002, seed: 7 }.generate();
         let b = TpchGenerator { scale_factor: 0.002, seed: 7 }.generate();
-        assert_eq!(a.table("lineitem").rows, b.table("lineitem").rows);
+        assert!(bit_identical(a.table("lineitem"), b.table("lineitem")));
         let c = TpchGenerator { scale_factor: 0.002, seed: 8 }.generate();
-        assert_ne!(a.table("lineitem").rows, c.table("lineitem").rows);
+        assert!(!bit_identical(a.table("lineitem"), c.table("lineitem")));
+    }
+
+    /// Every base column is full-width and plain: no dictionaries, no
+    /// packing, nothing removed.
+    #[test]
+    fn base_columns_are_plain_and_full_width() {
+        let d = small();
+        for (name, t) in d.tables() {
+            assert_eq!(t.columns.len(), t.schema.len(), "{name}");
+            for (c, col) in t.columns.iter().enumerate() {
+                let plain = matches!(
+                    col,
+                    Column::I64(_)
+                        | Column::F64(_)
+                        | Column::Date(_)
+                        | Column::Str(_)
+                        | Column::Bool(_)
+                );
+                assert!(plain, "{name} column {c} is {}", col.kind_name());
+                assert_eq!(col.len(), t.len, "{name} column {c}");
+            }
+        }
     }
 
     #[test]
@@ -422,16 +480,10 @@ mod tests {
         ] {
             let t = d.table(name);
             for (col, ref_table, ref_col) in fk_checks {
-                let ci = t.schema.col(col);
-                let rt = d.table(ref_table);
-                let rci = rt.schema.col(ref_col);
-                let keys: HashSet<i64> = rt.rows.iter().map(|r| r[rci].as_int()).collect();
-                for row in &t.rows {
-                    assert!(
-                        keys.contains(&row[ci].as_int()),
-                        "{name}.{col} dangling key {}",
-                        row[ci].as_int()
-                    );
+                let keys: HashSet<i64> =
+                    d.table(ref_table).by_name(ref_col).as_i64().iter().copied().collect();
+                for &k in t.by_name(col).as_i64() {
+                    assert!(keys.contains(&k), "{name}.{col} dangling key {k}");
                 }
             }
         }
@@ -440,8 +492,7 @@ mod tests {
     #[test]
     fn order_keys_sparse_and_unique() {
         let d = small();
-        let t = d.table("orders");
-        let keys: Vec<i64> = t.rows.iter().map(|r| r[0].as_int()).collect();
+        let keys = d.table("orders").column(0).as_i64();
         let distinct: HashSet<i64> = keys.iter().copied().collect();
         assert_eq!(distinct.len(), keys.len());
         // Sparse: the max key is about 4x the row count. Guard the empty
@@ -460,11 +511,11 @@ mod tests {
     fn sf_zero_generates_floor_sizes_without_panicking() {
         for sf in [0.0, -1.0, f64::NAN] {
             let d = TpchData::generate(sf);
-            assert_eq!(d.table("supplier").len(), 10, "sf {sf}");
-            assert_eq!(d.table("part").len(), 200, "sf {sf}");
-            assert_eq!(d.table("customer").len(), 150, "sf {sf}");
-            assert_eq!(d.table("orders").len(), 1_500, "sf {sf}");
-            assert!(!d.table("lineitem").is_empty(), "sf {sf}");
+            assert_eq!(d.table("supplier").len, 10, "sf {sf}");
+            assert_eq!(d.table("part").len, 200, "sf {sf}");
+            assert_eq!(d.table("customer").len, 150, "sf {sf}");
+            assert_eq!(d.table("orders").len, 1_500, "sf {sf}");
+            assert!(d.table("lineitem").len > 0, "sf {sf}");
             assert!(d.approx_bytes() > 0);
         }
     }
@@ -498,8 +549,8 @@ mod tests {
         let d = small();
         let t = d.table("lineitem");
         let mut seen = HashSet::new();
-        for r in &t.rows {
-            assert!(seen.insert((r[0].as_int(), r[3].as_int())));
+        for (&okey, &line) in t.column(0).as_i64().iter().zip(t.column(3).as_i64()) {
+            assert!(seen.insert((okey, line)));
         }
     }
 
@@ -510,14 +561,12 @@ mod tests {
         let (lo, _) = order_date_range();
         let hi = Date::from_ymd(1998, 12, 31);
         let (s, c, r) = (
-            t.schema.col("l_shipdate"),
-            t.schema.col("l_commitdate"),
-            t.schema.col("l_receiptdate"),
+            t.by_name("l_shipdate").as_date(),
+            t.by_name("l_commitdate").as_date(),
+            t.by_name("l_receiptdate").as_date(),
         );
-        for row in &t.rows {
-            let ship = row[s].as_date();
-            let commit = row[c].as_date();
-            let receipt = row[r].as_date();
+        for i in 0..t.len {
+            let (ship, commit, receipt) = (Date(s[i]), Date(c[i]), Date(r[i]));
             assert!(ship >= lo && receipt <= hi, "dates within horizon");
             assert!(receipt > ship, "receipt after ship");
             assert!(commit >= lo && commit <= hi);
@@ -530,18 +579,18 @@ mod tests {
         let t = d.table("lineitem");
         let horizon = current_date();
         let (rf, ls, sd, rd) = (
-            t.schema.col("l_returnflag"),
-            t.schema.col("l_linestatus"),
-            t.schema.col("l_shipdate"),
-            t.schema.col("l_receiptdate"),
+            t.by_name("l_returnflag").as_str(),
+            t.by_name("l_linestatus").as_str(),
+            t.by_name("l_shipdate").as_date(),
+            t.by_name("l_receiptdate").as_date(),
         );
-        for row in &t.rows {
-            if row[rd].as_date() <= horizon {
-                assert_ne!(row[rf].as_str(), "N");
+        for i in 0..t.len {
+            if Date(rd[i]) <= horizon {
+                assert_ne!(rf[i], "N");
             } else {
-                assert_eq!(row[rf].as_str(), "N");
+                assert_eq!(rf[i], "N");
             }
-            assert_eq!(row[ls].as_str() == "O", row[sd].as_date() > horizon);
+            assert_eq!(ls[i] == "O", Date(sd[i]) > horizon);
         }
     }
 
@@ -549,19 +598,17 @@ mod tests {
     fn workload_patterns_present() {
         // Q13/Q16/Q14 patterns must occur at small scale already.
         let d = small();
-        let o = d.table("orders");
-        let oc = o.schema.col("o_comment");
-        assert!(o.rows.iter().any(|r| {
-            let c = r[oc].as_str();
+        assert!(d.table("orders").by_name("o_comment").as_str().iter().any(|c| {
             c.split(' ')
                 .position(|w| w == "special")
                 .is_some_and(|i| c.split(' ').skip(i + 1).any(|w| w == "requests"))
         }));
-        let p = d.table("part");
-        let pt = p.schema.col("p_type");
-        assert!(p.rows.iter().any(|r| r[pt].as_str().starts_with("PROMO")));
-        let cust = d.table("customer");
-        let seg = cust.schema.col("c_mktsegment");
-        assert!(cust.rows.iter().any(|r| r[seg].as_str() == "BUILDING"));
+        assert!(d.table("part").by_name("p_type").as_str().iter().any(|t| t.starts_with("PROMO")));
+        assert!(d
+            .table("customer")
+            .by_name("c_mktsegment")
+            .as_str()
+            .iter()
+            .any(|s| s == "BUILDING"));
     }
 }

@@ -1,22 +1,22 @@
-//! Archive format v2 (PR 8): the optimizer statistics — histograms and
-//! distinct sketches included — survive a write→read round trip, legacy v1
-//! archives still load (statistics re-collected), and a corrupt statistics
-//! block is a typed [`ArchiveError`], never a panic and never silently
-//! stale estimates.
+//! Archive statistics blocks: the optimizer statistics — histograms and
+//! distinct sketches included — survive a write→read round trip, a corrupt
+//! statistics block is a typed [`ArchiveError`], never a panic and never
+//! silently stale estimates, and any version but the current one is
+//! rejected up front.
 
 use legobase_tpch::archive::{self, ArchiveError, MAGIC, VERSION};
 use legobase_tpch::{TpchData, TABLES};
 
 const SCALE: f64 = 0.002;
 
-/// Histograms and sketches written by v2 decode bit-identically, without a
+/// Histograms and sketches written to the archive decode bit-identically, without a
 /// re-collection pass masking a broken stats block.
 #[test]
 fn v2_round_trips_histograms_and_sketches() {
     let data = TpchData::generate(SCALE);
-    let bytes = archive::to_bytes(&data).expect("serialize v2");
+    let bytes = archive::to_bytes(&data).expect("serialize");
     assert_eq!(u32::from_le_bytes(bytes[4..8].try_into().unwrap()), VERSION);
-    let back = archive::from_bytes(&bytes).expect("parse v2");
+    let back = archive::from_bytes(&bytes).expect("parse");
     let mut saw_histogram = false;
     let mut saw_sketch = false;
     for &name in &TABLES {
@@ -30,36 +30,20 @@ fn v2_round_trips_histograms_and_sketches() {
     assert!(saw_sketch, "no sketch survived the round trip");
 }
 
-/// A genuine v1 archive (no stats block) still loads; its statistics are
-/// re-collected and match the generator's exactly.
-#[test]
-fn v1_archives_still_load_with_recollected_stats() {
-    let data = TpchData::generate(SCALE);
-    let v1 = archive::to_bytes_v1(&data).expect("serialize v1");
-    assert_eq!(u32::from_le_bytes(v1[4..8].try_into().unwrap()), 1);
-    assert!(v1.len() < archive::to_bytes(&data).expect("v2").len(), "v1 carries no stats block");
-    let back = archive::from_bytes(&v1).expect("v1 must stay readable");
-    for &name in &TABLES {
-        let a = data.catalog.stats(name).expect("generated stats");
-        let b = back.catalog.stats(name).expect("re-collected stats");
-        assert_eq!(a, b, "{name}: re-collected statistics differ");
-    }
-}
-
 /// Every way a stats block can rot — flipped payload byte (checksum),
 /// truncated tail, inconsistent histogram structure — comes back as a typed
 /// error, never a panic.
 #[test]
 fn corrupt_stats_blocks_are_typed_errors() {
     let data = TpchData::generate(SCALE);
-    let v1_len = archive::to_bytes_v1(&data).expect("v1").len();
-    let bytes = archive::to_bytes(&data).expect("v2");
+    let bytes = archive::to_bytes(&data).expect("serialize");
     assert_eq!(&bytes[..4], &MAGIC);
+    let stats_start = stats_offset(&bytes);
 
-    // The stats block occupies everything past the v1 prefix: corrupt a
-    // byte inside it and the checksum must refuse before any parsing.
+    // The stats blocks occupy everything past the tables: corrupt a byte
+    // inside them and the checksum must refuse before any parsing.
     let mut flipped = bytes.clone();
-    let mid = v1_len + (flipped.len() - v1_len) / 2;
+    let mid = stats_start + (flipped.len() - stats_start) / 2;
     flipped[mid] ^= 0x01;
     match archive::from_bytes(&flipped) {
         Err(ArchiveError::Corrupt(m)) => {
@@ -81,13 +65,34 @@ fn corrupt_stats_blocks_are_typed_errors() {
     assert!(matches!(archive::from_bytes(&padded), Err(ArchiveError::Corrupt(_))));
 }
 
-/// Versions outside `[MIN_VERSION, VERSION]` are rejected up front.
+/// Byte offset where the statistics blocks begin: the file header, then
+/// each table record and its aligned column records.
+fn stats_offset(bytes: &[u8]) -> usize {
+    let info = archive::inspect_bytes(bytes).expect("inspect");
+    let mut pos = 20;
+    for table in &info.tables {
+        pos += 2 + table.name.len() + 12;
+        for c in &table.columns {
+            pos = (pos + 9).next_multiple_of(8) + c.payload_bytes + 8;
+        }
+    }
+    pos
+}
+
+/// Every version but [`VERSION`] is rejected up front — the retired v1 and
+/// v2 formats included.
 #[test]
 fn unknown_versions_rejected() {
     let data = TpchData::generate(SCALE);
-    let mut bytes = archive::to_bytes(&data).expect("v2");
+    let mut bytes = archive::to_bytes(&data).expect("serialize");
     bytes[4..8].copy_from_slice(&(VERSION + 1).to_le_bytes());
     assert!(matches!(archive::from_bytes(&bytes), Err(ArchiveError::BadVersion(_))));
-    bytes[4..8].copy_from_slice(&0u32.to_le_bytes());
-    assert!(matches!(archive::from_bytes(&bytes), Err(ArchiveError::BadVersion(0))));
+    for old in [0u32, 1, 2] {
+        bytes[4..8].copy_from_slice(&old.to_le_bytes());
+        assert!(
+            matches!(archive::from_bytes(&bytes), Err(ArchiveError::BadVersion(v)) if v == old),
+            "version {old} must be rejected"
+        );
+        assert!(matches!(archive::inspect_bytes(&bytes), Err(ArchiveError::BadVersion(_))));
+    }
 }

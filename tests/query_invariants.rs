@@ -89,19 +89,18 @@ fn q6_matches_manual_computation() {
     let data = &system().data;
     let li = data.table("lineitem");
     let (sd, d, q, ep) = (
-        li.schema.col("l_shipdate"),
-        li.schema.col("l_discount"),
-        li.schema.col("l_quantity"),
-        li.schema.col("l_extendedprice"),
+        li.by_name("l_shipdate").as_date(),
+        li.by_name("l_discount").as_f64(),
+        li.by_name("l_quantity").as_f64(),
+        li.by_name("l_extendedprice").as_f64(),
     );
-    let lo = legobase::storage::Date::from_ymd(1994, 1, 1);
-    let hi = legobase::storage::Date::from_ymd(1995, 1, 1);
+    let lo = legobase::storage::Date::from_ymd(1994, 1, 1).0;
+    let hi = legobase::storage::Date::from_ymd(1995, 1, 1).0;
     let mut expected = 0.0;
-    for row in &li.rows {
-        let ship = row[sd].as_date();
-        let disc = row[d].as_float();
-        if ship >= lo && ship < hi && (0.05..=0.07).contains(&disc) && row[q].as_float() < 24.0 {
-            expected += row[ep].as_float() * disc;
+    for r in 0..li.len {
+        let (ship, disc) = (sd[r], d[r]);
+        if ship >= lo && ship < hi && (0.05..=0.07).contains(&disc) && q[r] < 24.0 {
+            expected += ep[r] * disc;
         }
     }
     let r = run(6);
@@ -151,21 +150,18 @@ fn q11_values_exceed_global_threshold() {
     // Recompute the German stock total to validate the HAVING threshold.
     let data = &system().data;
     let nation = data.table("nation");
-    let germany: i64 =
-        nation.rows.iter().find(|row| row[1].as_str() == "GERMANY").expect("GERMANY exists")[0]
-            .as_int();
+    let at = nation.column(1).as_str().iter().position(|n| n == "GERMANY");
+    let germany = nation.column(0).as_i64()[at.expect("GERMANY exists")];
     let supplier = data.table("supplier");
-    let german_suppliers: std::collections::HashSet<i64> = supplier
-        .rows
-        .iter()
-        .filter(|row| row[3].as_int() == germany)
-        .map(|row| row[0].as_int())
-        .collect();
+    let (s_key, s_nation) = (supplier.column(0).as_i64(), supplier.column(3).as_i64());
+    let german_suppliers: std::collections::HashSet<i64> =
+        (0..supplier.len).filter(|&r| s_nation[r] == germany).map(|r| s_key[r]).collect();
     let ps = data.table("partsupp");
+    let (supp, avail, cost) = (ps.column(1).as_i64(), ps.column(2).as_i64(), ps.column(3).as_f64());
     let mut total = 0.0;
-    for row in &ps.rows {
-        if german_suppliers.contains(&row[1].as_int()) {
-            total += row[3].as_float() * row[2].as_int() as f64;
+    for r in 0..ps.len {
+        if german_suppliers.contains(&supp[r]) {
+            total += cost[r] * avail[r] as f64;
         }
     }
     let threshold = total * 0.0001;
@@ -195,7 +191,7 @@ fn q13_distribution_covers_all_customers() {
     // Σ custdist = number of customers (every customer lands in exactly one
     // c_count bucket thanks to the left outer join).
     let total: i64 = r.rows().iter().map(|row| row[1].as_int()).sum();
-    assert_eq!(total, system().data.table("customer").len() as i64);
+    assert_eq!(total, system().data.table("customer").len as i64);
     // A zero-orders bucket must exist (custkey % 3 == 0 never orders).
     assert!(r.rows().iter().any(|row| row[0].as_int() == 0));
 }
